@@ -14,28 +14,22 @@
 //	boatbench -experiment fig4
 //	boatbench -experiment all -unit 50000 -files
 //	boatbench -experiment fig12
-//	boatbench -benchjson BENCH_scan.json
-//	boatbench -updatejson BENCH_update.json
+//	boatbench -predictjson BENCH_predict.json
 //	boatbench -experiment fig4 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"runtime/trace"
-	"sort"
 	"strings"
-	"time"
 
-	"github.com/boatml/boat/internal/core"
 	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/experiments"
 	"github.com/boatml/boat/internal/gen"
@@ -44,7 +38,6 @@ import (
 	"github.com/boatml/boat/internal/obs"
 	"github.com/boatml/boat/internal/predict"
 	"github.com/boatml/boat/internal/split"
-	"github.com/boatml/boat/internal/tree"
 )
 
 var runners = []struct {
@@ -103,19 +96,10 @@ func main() {
 		faultBuilds = flag.Int("faultbuilds", 100, "number of fault-injected builds in the soak")
 		faultSeed   = flag.Int64("faultseed", 1, "base seed for the injected fault sequence")
 
-		benchJSON   = flag.String("benchjson", "", "run the cleanup-scan micro-benchmark (row vs chunk vs sharded vs block-sharded on the Fig-4/F1 workload) and write measurements to this JSON file instead of a figure")
-		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -benchjson")
-		benchRounds = flag.Int("benchrounds", 3, "scan passes per mode for -benchjson")
+		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -predictjson")
+		benchRounds = flag.Int("benchrounds", 3, "classification passes per mode for -predictjson")
 
 		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs flat walk vs chunked kernel vs parallel predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
-
-		updateJSON   = flag.String("updatejson", "", "run the streaming-update micro-benchmark (row-at-a-time baseline vs columnar chunk router on the sliding-window dynamic-environment workload) and write measurements to this JSON file instead of a figure")
-		updateRounds = flag.Int("updaterounds", 30, "insert+delete rounds per mode for -updatejson")
-
-		ioJSON      = flag.String("iojson", "", "run the file-backed scan I/O benchmark (row file vs columnar block file, synchronous vs pipelined, zone skipping on/off) and write measurements to this JSON file instead of a figure")
-		ioTuples    = flag.Int64("iotuples", 1_000_000, "dataset size for -iojson")
-		ioBlockRows = flag.Int("ioblockrows", 0, "columnar block rows for -iojson (0 = default)")
-		ioVerify    = flag.Bool("ioverify", true, "-iojson: also verify trees bit-identical across formats, pipeline depths {1,4} and Parallelism {1,8}")
 
 		metricsJSON = flag.String("metricsjson", "", `write the accumulated BOAT metrics registry as JSON to this file ("-" = stdout)`)
 		listen      = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the run ("" disables)`)
@@ -143,10 +127,8 @@ func main() {
 		files: *files, dir: *dir, seed: *seed, method: *method,
 		para: *para, verbose: *verbose, logger: logger,
 		faults: *faults, faultBuilds: *faultBuilds, faultSeed: *faultSeed,
-		benchJSON: *benchJSON, benchTuples: *benchTuples, benchRounds: *benchRounds,
+		benchTuples: *benchTuples, benchRounds: *benchRounds,
 		predictJSON: *predictJSON,
-		updateJSON:  *updateJSON, updateRounds: *updateRounds,
-		ioJSON: *ioJSON, ioTuples: *ioTuples, ioBlockRows: *ioBlockRows, ioVerify: *ioVerify,
 		metricsJSON: *metricsJSON, listen: *listen,
 	})
 	stopProfiles()
@@ -230,18 +212,9 @@ type mainConfig struct {
 	faultBuilds int
 	faultSeed   int64
 
-	benchJSON   string
 	benchTuples int64
 	benchRounds int
 	predictJSON string
-
-	updateJSON   string
-	updateRounds int
-
-	ioJSON      string
-	ioTuples    int64
-	ioBlockRows int
-	ioVerify    bool
 
 	metricsJSON string
 	listen      string
@@ -282,32 +255,8 @@ func run(mc mainConfig) int {
 		defer diag.Close()
 	}
 
-	if mc.benchJSON != "" {
-		code := runScanBench(mc, m, metrics)
-		if code == 0 {
-			code = dumpMetrics(metrics, mc.metricsJSON)
-		}
-		return code
-	}
-
 	if mc.predictJSON != "" {
 		code := runPredictBench(mc, m, metrics)
-		if code == 0 {
-			code = dumpMetrics(metrics, mc.metricsJSON)
-		}
-		return code
-	}
-
-	if mc.updateJSON != "" {
-		code := runUpdateBench(mc, m, metrics)
-		if code == 0 {
-			code = dumpMetrics(metrics, mc.metricsJSON)
-		}
-		return code
-	}
-
-	if mc.ioJSON != "" {
-		code := runIOBench(mc, m)
 		if code == 0 {
 			code = dumpMetrics(metrics, mc.metricsJSON)
 		}
@@ -416,7 +365,7 @@ func dumpMetrics(metrics *obs.Registry, path string) int {
 	return 0
 }
 
-// benchProvenance pins down what produced a -benchjson report: the
+// benchProvenance pins down what produced a -predictjson report: the
 // machine-independent run configuration, the toolchain, and the source
 // revision (from the binary's embedded VCS stamp, when built from a git
 // checkout).
@@ -446,553 +395,6 @@ func gitRevision() (sha string, modified bool) {
 		}
 	}
 	return sha, modified
-}
-
-// scanBenchReport is the JSON document -benchjson writes: one measurement
-// per scan mode plus the chunk-vs-row headline ratios, the run's
-// provenance, and the iostats accounting of every pass.
-type scanBenchReport struct {
-	Workload      string                 `json:"workload"`
-	Tuples        int64                  `json:"tuples"`
-	Rounds        int                    `json:"rounds"`
-	GOMAXPROCS    int                    `json:"gomaxprocs"`
-	Config        benchProvenance        `json:"config"`
-	Modes               []core.ScanMeasurement `json:"modes"`
-	IOStats             iostats.Snapshot       `json:"iostats"`
-	ChunkSpeedup        float64                `json:"chunk_speedup_vs_row"`
-	BlockShardedSpeedup float64                `json:"block_sharded_speedup_vs_row"`
-	AllocsRatio         float64                `json:"row_allocs_per_chunk_alloc"`
-	ChunkPerTuple       float64                `json:"chunk_allocs_per_tuple"`
-}
-
-// runScanBench times cleanup-scan passes per mode (row-at-a-time
-// baseline, sequential columnar, chunk-sharded columnar, block-sharded
-// columnar) over the Fig-4/F1 workload, prints a table with the iostats
-// accounting, and writes the measurements as JSON. The generator output
-// is materialized up front so the benchmark isolates the scan itself;
-// the block-sharded mode reads the same tuples from a columnar file, the
-// only source kind that can be split by block ranges.
-func runScanBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "boatbench: benchjson: %v\n", err)
-		return 1
-	}
-	n := mc.benchTuples
-	fmt.Printf("=== cleanup-scan benchmark: Fig-4/F1 workload, %d tuples, %d rounds/mode ===\n",
-		n, mc.benchRounds)
-	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, mc.seed+41)
-	tuples, err := data.ReadAll(gsrc)
-	if err != nil {
-		return fail(err)
-	}
-	src := data.NewMemSource(gsrc.Schema(), tuples)
-
-	sha, modified := gitRevision()
-	rep := scanBenchReport{
-		Workload: "fig4-f1", Tuples: n, Rounds: mc.benchRounds,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
-	}
-	// The block-sharded mode needs a block-splittable source: the same
-	// tuple sequence materialized as a columnar file (the in-memory source
-	// serving the other modes has no blocks to split).
-	colDir, err := os.MkdirTemp(mc.dir, "boatbench-scan-")
-	if err != nil {
-		return fail(err)
-	}
-	defer os.RemoveAll(colDir)
-	colPath := filepath.Join(colDir, "scan.boatc")
-	if _, err := data.WriteColFile(colPath, src, 0); err != nil {
-		return fail(err)
-	}
-
-	var total iostats.Snapshot
-	byMode := map[core.ScanMode]core.ScanMeasurement{}
-	for _, mode := range []core.ScanMode{core.ScanModeRow, core.ScanModeChunk, core.ScanModeSharded, core.ScanModeBlockSharded} {
-		benchSrc := data.Source(src)
-		if mode == core.ScanModeBlockSharded {
-			colSrc, err := data.OpenColFile(colPath)
-			if err != nil {
-				return fail(err)
-			}
-			benchSrc = colSrc
-		}
-		stats := &iostats.Stats{}
-		bench, err := core.NewScanBench(benchSrc, core.Config{
-			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
-			Seed: 7, TempDir: mc.dir, Parallelism: mc.para, Stats: stats,
-			BlockSharding: mode == core.ScanModeBlockSharded,
-			Metrics:       metrics, Logger: mc.logger,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		meas, err := bench.Measure(mode, mc.benchRounds)
-		bench.Close()
-		if err != nil {
-			return fail(err)
-		}
-		rep.Modes = append(rep.Modes, meas)
-		byMode[mode] = meas
-		fmt.Printf("%-8s %12.0f tuples/sec  %10.3f allocs/tuple  %10.1f bytes/tuple\n",
-			meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple, meas.BytesPerTuple)
-		if mc.verbose {
-			fmt.Printf("         iostats: %s\n", stats.Snapshot())
-		}
-		total = total.Add(stats.Snapshot())
-	}
-	rep.IOStats = total
-	row, chunk := byMode[core.ScanModeRow], byMode[core.ScanModeChunk]
-	if row.TuplesPerSec > 0 {
-		rep.ChunkSpeedup = chunk.TuplesPerSec / row.TuplesPerSec
-		rep.BlockShardedSpeedup = byMode[core.ScanModeBlockSharded].TuplesPerSec / row.TuplesPerSec
-	}
-	if chunk.AllocsPerTuple > 0 {
-		rep.AllocsRatio = row.AllocsPerTuple / chunk.AllocsPerTuple
-	}
-	rep.ChunkPerTuple = chunk.AllocsPerTuple
-	fmt.Printf("chunk vs row: %.2fx tuples/sec, allocs/tuple %.4f -> %.6f\n",
-		rep.ChunkSpeedup, row.AllocsPerTuple, chunk.AllocsPerTuple)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(mc.benchJSON, append(out, '\n'), 0o644); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("wrote %s\n", mc.benchJSON)
-	return 0
-}
-
-// updateMeasurement is one mode's result in an -updatejson report.
-type updateMeasurement struct {
-	Mode            string  `json:"mode"`
-	Seconds         float64 `json:"seconds"`
-	TuplesPerSec    float64 `json:"tuples_per_sec"`
-	AllocsPerTuple  float64 `json:"allocs_per_tuple"`
-	Chunks          int64   `json:"chunks"`
-	RebuiltSubtrees int64   `json:"rebuilt_subtrees"`
-	RefittedLeaves  int64   `json:"refitted_leaves"`
-	MigratedTuples  int64   `json:"migrated_tuples"`
-}
-
-// updateBenchReport is the JSON document -updatejson writes: one
-// measurement per update mode on the identical sliding-window workload,
-// the chunked-vs-row headline ratio, and the run's provenance.
-type updateBenchReport struct {
-	Workload       string              `json:"workload"`
-	BaseTuples     int64               `json:"base_tuples"`
-	ChunkTuples    int64               `json:"chunk_tuples"`
-	Window         int                 `json:"window"`
-	Slots          int                 `json:"slots"`
-	Rounds         int                 `json:"rounds"`
-	GOMAXPROCS     int                 `json:"gomaxprocs"`
-	Config         benchProvenance     `json:"config"`
-	Modes          []updateMeasurement `json:"modes"`
-	ChunkedSpeedup float64             `json:"chunked_speedup_vs_row"`
-}
-
-// runUpdateBench times sustained sliding-window maintenance — the
-// boatstream workload: every round inserts the newest chunk and deletes
-// the expired one, holding the tree's net size constant — once with the
-// row-at-a-time baseline (Config.RowUpdates) and once with the columnar
-// chunk router, and writes the measurements as JSON. Both modes replay
-// the identical pre-generated chunk sequence against identically built
-// trees; the maintained trees are guaranteed bit-identical either way
-// (TestUpdateChunkedMatchesRow), so the comparison isolates update-path
-// mechanics.
-func runUpdateBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "boatbench: updatejson: %v\n", err)
-		return 1
-	}
-	const (
-		baseTuples  = 40_000
-		chunkTuples = 10_000
-		window      = 3
-		slots       = 2 * window
-	)
-	rounds := mc.updateRounds
-	fmt.Printf("=== streaming-update benchmark: sliding window %d x %d tuples over %d base, %d rounds/mode ===\n",
-		window, chunkTuples, baseTuples, rounds)
-	base := gen.MustSource(gen.Config{Function: 1}, baseTuples, mc.seed)
-	chunks := make([]data.Source, slots)
-	for i := range chunks {
-		chunks[i] = gen.MustSource(gen.Config{Function: 1}, chunkTuples, mc.seed+int64(10+i))
-	}
-
-	sha, modified := gitRevision()
-	rep := updateBenchReport{
-		Workload: "sliding-window-f1", BaseTuples: baseTuples,
-		ChunkTuples: chunkTuples, Window: window, Slots: slots,
-		Rounds: rounds, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
-	}
-	byMode := map[string]updateMeasurement{}
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"chunked", false}} {
-		bt, err := core.Build(base, core.Config{
-			Method: m, StopThreshold: 4000, StopAtThreshold: true,
-			SampleSize: 8000, BootstrapTrees: 5, Seed: mc.seed,
-			TempDir: mc.dir, Parallelism: mc.para, RowUpdates: mode.row,
-			Metrics: metrics, Logger: mc.logger,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		var total core.UpdateStats
-		add := func(u core.UpdateStats) {
-			total.Chunks += u.Chunks
-			total.RebuiltSubtrees += u.RebuiltSubtrees
-			total.RefittedLeaves += u.RefittedLeaves
-			total.MigratedTuples += u.MigratedTuples
-		}
-		for i := 0; i < window; i++ {
-			if _, err := bt.Insert(chunks[i]); err != nil {
-				bt.Close()
-				return fail(err)
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			ins, err := bt.Insert(chunks[(window+r)%slots])
-			if err != nil {
-				bt.Close()
-				return fail(err)
-			}
-			del, err := bt.Delete(chunks[r%slots])
-			if err != nil {
-				bt.Close()
-				return fail(err)
-			}
-			add(ins)
-			add(del)
-		}
-		seconds := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		bt.Close()
-		streamed := float64(rounds) * 2 * chunkTuples
-		meas := updateMeasurement{
-			Mode: mode.name, Seconds: seconds,
-			Chunks:          total.Chunks,
-			RebuiltSubtrees: total.RebuiltSubtrees,
-			RefittedLeaves:  total.RefittedLeaves,
-			MigratedTuples:  total.MigratedTuples,
-		}
-		if seconds > 0 {
-			meas.TuplesPerSec = streamed / seconds
-		}
-		if streamed > 0 {
-			meas.AllocsPerTuple = float64(after.Mallocs-before.Mallocs) / streamed
-		}
-		rep.Modes = append(rep.Modes, meas)
-		byMode[mode.name] = meas
-		fmt.Printf("%-8s %12.0f tuples/sec  %10.3f allocs/tuple  rebuilt=%d refitted=%d\n",
-			meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple,
-			meas.RebuiltSubtrees, meas.RefittedLeaves)
-	}
-	row, chunked := byMode["row"], byMode["chunked"]
-	if row.TuplesPerSec > 0 {
-		rep.ChunkedSpeedup = chunked.TuplesPerSec / row.TuplesPerSec
-	}
-	fmt.Printf("chunked vs row: %.2fx tuples/sec\n", rep.ChunkedSpeedup)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(mc.updateJSON, append(out, '\n'), 0o644); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("wrote %s\n", mc.updateJSON)
-	return 0
-}
-
-// ioScanMeasurement is one source/configuration's result in an -iojson
-// report: the scan measurement plus the I/O accounting that motivates the
-// columnar path — logical (decoded tuple) bytes vs bytes physically read,
-// and the number of blocks the zone maps let the router skip.
-type ioScanMeasurement struct {
-	core.ScanMeasurement
-	Source        string `json:"source"`
-	LogicalBytes  int64  `json:"logical_bytes_read"`
-	PhysicalBytes int64  `json:"physical_bytes_read"`
-	BlocksSkipped int64  `json:"blocks_skipped"`
-}
-
-// ioBenchReport is the JSON document -iojson writes: the file-backed
-// cleanup-scan throughput of the row format vs the columnar block format
-// (synchronous and pipelined, zone skipping on and off), file sizes, and
-// the cross-format tree-identity verification.
-type ioBenchReport struct {
-	Workload              string              `json:"workload"`
-	Tuples                int64               `json:"tuples"`
-	Rounds                int                 `json:"rounds"`
-	Parallelism           int                 `json:"parallelism"`
-	BlockRows             int                 `json:"block_rows"`
-	GOMAXPROCS            int                 `json:"gomaxprocs"`
-	Config                benchProvenance     `json:"config"`
-	RowFileBytes          int64               `json:"row_file_bytes"`
-	ColFileBytes          int64               `json:"col_file_bytes"`
-	Compression           float64             `json:"row_bytes_per_col_byte"`
-	Modes                          []ioScanMeasurement `json:"modes"`
-	SyncSpeedupVsRow               float64             `json:"col_sync_speedup_vs_row"`
-	PipelinedSpeedupVsRow          float64             `json:"col_pipelined_speedup_vs_row"`
-	ZoneSkipSpeedup                float64             `json:"zone_skip_speedup"`
-	BlockShardedSpeedupVsRow       float64             `json:"col_block_sharded_speedup_vs_row"`
-	BlockShardedSpeedupVsPipelined float64             `json:"col_block_sharded_speedup_vs_pipelined"`
-	TreeConfigsVerified   int                 `json:"tree_configs_verified"`
-	TreesIdentical        bool                `json:"trees_identical"`
-}
-
-// runIOBench measures the file-backed cleanup scan end to end: the same
-// F1 workload is materialized once as a row file and once as a columnar
-// block file, and the sharded scan is timed over each — the columnar file
-// synchronously decoded, behind the prefetch/decode pipeline, and with
-// zone-map skipping disabled — isolating what the on-disk format, the
-// pipeline, and the zone maps each buy. With -ioverify (default) it then
-// builds trees from both files across pipeline depths {1, 4} and
-// Parallelism {1, 8} and asserts every encoded tree is bit-identical.
-func runIOBench(mc mainConfig, m split.Method) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "boatbench: iojson: %v\n", err)
-		return 1
-	}
-	n := mc.ioTuples
-	para := mc.para
-	if para <= 0 {
-		para = 8
-	}
-	rounds := mc.benchRounds
-	dir := mc.dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "boatbench-io-")
-		if err != nil {
-			return fail(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	fmt.Printf("=== scan I/O benchmark: Fig-4/F1 workload, %d tuples, %d rounds/mode, Parallelism=%d ===\n",
-		n, rounds, para)
-
-	rowPath := filepath.Join(dir, "io-train.boat")
-	colPath := filepath.Join(dir, "io-train.boatc")
-	// The dataset is materialized clustered on age — F1's split attribute —
-	// modeling the clustered fact table zone maps are designed for; both
-	// files hold the identical tuple sequence, so the comparison (and the
-	// tree-identity check) isolates the storage format.
-	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, mc.seed+47)
-	tuples, err := data.ReadAll(gsrc)
-	if err != nil {
-		return fail(err)
-	}
-	sort.SliceStable(tuples, func(i, j int) bool {
-		return tuples[i].Values[gen.AttrAge] < tuples[j].Values[gen.AttrAge]
-	})
-	if _, err := data.WriteFile(rowPath, data.NewMemSource(gsrc.Schema(), tuples), data.FormatCompact); err != nil {
-		return fail(err)
-	}
-	tuples = nil
-	rowFile, err := data.OpenFile(rowPath)
-	if err != nil {
-		return fail(err)
-	}
-	if _, err := data.WriteColFile(colPath, rowFile, mc.ioBlockRows); err != nil {
-		return fail(err)
-	}
-	colFile, err := data.OpenColFile(colPath)
-	if err != nil {
-		return fail(err)
-	}
-	rowBytes, colBytes := rowFile.SizeBytes(), colFile.SizeBytes()
-	fmt.Printf("row file: %d bytes | columnar file: %d bytes (%d blocks x %d rows) | %.2fx smaller\n",
-		rowBytes, colBytes, colFile.Blocks(), colFile.BlockRows(), float64(rowBytes)/float64(colBytes))
-
-	sha, modified := gitRevision()
-	rep := ioBenchReport{
-		Workload: "fig4-f1", Tuples: n, Rounds: rounds,
-		Parallelism: para, BlockRows: colFile.BlockRows(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RowFileBytes: rowBytes, ColFileBytes: colBytes,
-		Compression: float64(rowBytes) / float64(colBytes),
-		Config: benchProvenance{
-			Parallelism:   para,
-			ScanChunkRows: data.DefaultChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
-	}
-
-	modes := []struct {
-		name     string
-		path     string
-		depth    int
-		zoneSkip bool
-		scanMode core.ScanMode
-	}{
-		{"row", rowPath, 0, true, core.ScanModeSharded},
-		{"col-sync", colPath, -1, true, core.ScanModeSharded},
-		{"col-pipelined", colPath, 0, true, core.ScanModeSharded},
-		{"col-noskip", colPath, 0, false, core.ScanModeSharded},
-		{"col-block-sharded", colPath, 0, true, core.ScanModeBlockSharded},
-	}
-	byMode := map[string]ioScanMeasurement{}
-	for _, mode := range modes {
-		src, err := data.Open(mode.path)
-		if err != nil {
-			return fail(err)
-		}
-		stats := &iostats.Stats{}
-		reg := obs.NewRegistry()
-		bench, err := core.NewScanBench(src, core.Config{
-			Method: m, MaxDepth: 6, MinSplit: 50, SampleSize: 2000,
-			Seed: 7, TempDir: dir, Parallelism: para, Stats: stats,
-			PipelineDepth: mode.depth, DisableZoneSkip: !mode.zoneSkip,
-			BlockSharding: mode.scanMode == core.ScanModeBlockSharded,
-			Metrics:       reg, Logger: mc.logger,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		meas, err := bench.Measure(mode.scanMode, rounds)
-		bench.Close()
-		if err != nil {
-			return fail(err)
-		}
-		snap := stats.Snapshot()
-		im := ioScanMeasurement{
-			ScanMeasurement: meas,
-			Source:          mode.name,
-			LogicalBytes:    snap.BytesRead,
-			PhysicalBytes:   snap.PhysBytesRead,
-			BlocksSkipped:   reg.Snapshot().Counters["scan.blocks_skipped"],
-		}
-		rep.Modes = append(rep.Modes, im)
-		byMode[mode.name] = im
-		fmt.Printf("%-14s %12.0f tuples/sec  phys/logical %.2f  blocks skipped %d\n",
-			mode.name, im.TuplesPerSec, float64(im.PhysicalBytes)/float64(max64(im.LogicalBytes, 1)),
-			im.BlocksSkipped)
-	}
-	row, sync, piped, noskip := byMode["row"], byMode["col-sync"], byMode["col-pipelined"], byMode["col-noskip"]
-	blockSharded := byMode["col-block-sharded"]
-	if row.TuplesPerSec > 0 {
-		rep.SyncSpeedupVsRow = sync.TuplesPerSec / row.TuplesPerSec
-		rep.PipelinedSpeedupVsRow = piped.TuplesPerSec / row.TuplesPerSec
-		rep.BlockShardedSpeedupVsRow = blockSharded.TuplesPerSec / row.TuplesPerSec
-	}
-	if noskip.TuplesPerSec > 0 {
-		rep.ZoneSkipSpeedup = piped.TuplesPerSec / noskip.TuplesPerSec
-	}
-	if piped.TuplesPerSec > 0 {
-		rep.BlockShardedSpeedupVsPipelined = blockSharded.TuplesPerSec / piped.TuplesPerSec
-	}
-	fmt.Printf("columnar pipelined vs row: %.2fx | sync vs row: %.2fx | zone skipping: %.2fx | block-sharded vs pipelined: %.2fx\n",
-		rep.PipelinedSpeedupVsRow, rep.SyncSpeedupVsRow, rep.ZoneSkipSpeedup, rep.BlockShardedSpeedupVsPipelined)
-
-	if mc.ioVerify {
-		verified, err := verifyIOTrees(rowPath, colPath, m, n, dir, mc.logger)
-		if err != nil {
-			return fail(err)
-		}
-		rep.TreeConfigsVerified = verified
-		rep.TreesIdentical = true
-		fmt.Printf("tree identity: %d format/depth/parallelism configurations bit-identical\n", verified)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(mc.ioJSON, append(out, '\n'), 0o644); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("wrote %s\n", mc.ioJSON)
-	return 0
-}
-
-// verifyIOTrees builds trees over the row file and the columnar file —
-// the latter chunk-sharded and block-sharded — across pipeline depths
-// {1, 4} and Parallelism {1, 8} and returns the number of configurations
-// checked, erroring unless every encoded tree is byte-identical to the
-// row-format Parallelism=1 baseline.
-func verifyIOTrees(rowPath, colPath string, m split.Method, n int64, dir string, logger *slog.Logger) (int, error) {
-	build := func(path string, depth, para int, blockShard bool) ([]byte, error) {
-		src, err := data.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := core.Build(src, core.Config{
-			Method: m, MaxDepth: 8, MinSplit: 50, SampleSize: 2000,
-			StopThreshold: n / 10, StopAtThreshold: true,
-			Seed: 7, TempDir: dir, Parallelism: para,
-			PipelineDepth: depth, BlockSharding: blockShard, Logger: logger,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer bt.Close()
-		return tree.EncodeTree(bt.Tree())
-	}
-	want, err := build(rowPath, 0, 1, false)
-	if err != nil {
-		return 0, err
-	}
-	checked := 1
-	if got, err := build(rowPath, 0, 8, false); err != nil {
-		return checked, err
-	} else if !bytes.Equal(got, want) {
-		return checked, fmt.Errorf("row-format tree differs at Parallelism=8")
-	}
-	checked++
-	for _, blockShard := range []bool{false, true} {
-		for _, depth := range []int{1, 4} {
-			for _, para := range []int{1, 8} {
-				got, err := build(colPath, depth, para, blockShard)
-				if err != nil {
-					return checked, err
-				}
-				if !bytes.Equal(got, want) {
-					return checked, fmt.Errorf("columnar tree differs at depth=%d parallelism=%d blockShard=%v",
-						depth, para, blockShard)
-				}
-				checked++
-			}
-		}
-	}
-	return checked, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // predictBenchReport is the JSON document -predictjson writes: one

@@ -51,8 +51,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the parallel build phases (0 = GOMAXPROCS)")
 		pipeDepth   = flag.Int("pipedepth", 0, "columnar input: blocks read ahead by the scan pipeline (0 = default, negative = synchronous)")
 		pipeWorkers = flag.Int("pipeworkers", 0, "columnar input: decode worker goroutines (0 = auto)")
-		noZoneSkip  = flag.Bool("nozoneskip", false, "disable zone-map block skipping in the scan and update routers")
-	blockShard  = flag.Bool("blockshard", false, "columnar input: shard the cleanup scan by contiguous block ranges, one private reader per worker (falls back to chunk sharding for row files)")
 		avcBuffer   = flag.Int64("avcbuffer", 3_000_000, "RainForest AVC buffer entries")
 		save        = flag.String("save", "", "write the encoded tree to this file")
 		saveModel   = flag.String("savemodel", "", "write the full BOAT model (tree + statistics) to this file atomically (boat only)")
@@ -129,8 +127,7 @@ func main() {
 			StopThreshold: *threshold, StopAtThreshold: *stop,
 			SampleSize: *sample, Seed: *seed, Parallelism: *parallelism,
 			PipelineDepth: *pipeDepth, PipelineWorkers: *pipeWorkers,
-			DisableZoneSkip: *noZoneSkip, BlockSharding: *blockShard,
-			Stats:           &st, Trace: tracer, Metrics: metrics, Logger: logger,
+			Stats: &st, Trace: tracer, Metrics: metrics, Logger: logger,
 		})
 		fatal(err)
 		defer bt.Close()

@@ -45,11 +45,40 @@ func colTestConfig() Config {
 	}
 }
 
+// zonelessCopy reads a columnar file back into a MemSource: the same
+// tuple sequence, but its chunks carry no zone maps, so a build or update
+// fed from it never takes the zone-skip path. It is the reference the
+// zone-skip exactness tests compare against.
+func zonelessCopy(t *testing.T, path string) data.Source {
+	t.Helper()
+	src, err := data.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := data.ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data.NewMemSource(src.Schema(), tuples)
+}
+
+// openFile opens a dataset file of either format, failing the test on
+// error.
+func openFile(t *testing.T, path string) data.Source {
+	t.Helper()
+	src, err := data.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // TestColumnarFormatTreeIdentity is the storage-independence contract of
 // the columnar path: the tree built from a columnar file — at every
 // pipeline depth (including the synchronous reader) and parallelism — is
 // bit-identical to the tree built from the row file holding the same
-// tuple sequence.
+// tuple sequence. At P>1 this is the chunk-sharded scan over the
+// pipelined reader.
 func TestColumnarFormatTreeIdentity(t *testing.T) {
 	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 1024)
 
@@ -67,7 +96,7 @@ func TestColumnarFormatTreeIdentity(t *testing.T) {
 	defer ref.Close()
 
 	for _, depth := range []int{-1, 1, 4} {
-		for _, para := range []int{1, 8} {
+		for _, para := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("depth%d-P%d", depth, para), func(t *testing.T) {
 				colSrc, err := data.Open(colPath)
 				if err != nil {
@@ -94,21 +123,17 @@ func TestColumnarFormatTreeIdentity(t *testing.T) {
 // TestZoneSkipExactness: zone-map block skipping changes nothing but the
 // work — the tree (and therefore every derived routing count, which
 // CheckConsistency validates against the node statistics) is identical
-// with skipping on and off, and on this clustered dataset the skip
-// counter proves whole blocks actually bypassed the partition kernel.
+// to the one built from the same tuples without zone maps, and on this
+// clustered dataset the skip counter proves whole blocks actually
+// bypassed the partition kernel.
 func TestZoneSkipExactness(t *testing.T) {
 	_, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
 
-	build := func(disable bool, reg *obs.Registry) *Tree {
+	build := func(src data.Source, reg *obs.Registry) *Tree {
 		t.Helper()
-		src, err := data.Open(colPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := colTestConfig()
 		cfg.Parallelism = 8
 		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
 		cfg.Metrics = reg
 		bt, err := Build(src, cfg)
 		if err != nil {
@@ -118,13 +143,13 @@ func TestZoneSkipExactness(t *testing.T) {
 	}
 
 	regOn := obs.NewRegistry()
-	on := build(false, regOn)
+	on := build(openFile(t, colPath), regOn)
 	defer on.Close()
 	regOff := obs.NewRegistry()
-	off := build(true, regOff)
+	off := build(zonelessCopy(t, colPath), regOff)
 	defer off.Close()
 
-	requireEqual(t, "zone skip on vs off", on.Tree(), off.Tree())
+	requireEqual(t, "zone maps vs none", on.Tree(), off.Tree())
 	if err := on.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,24 +157,25 @@ func TestZoneSkipExactness(t *testing.T) {
 		t.Fatal("no blocks skipped on the clustered dataset; the test exercised nothing")
 	}
 	if skips := regOff.Snapshot().Counters["scan.blocks_skipped"]; skips != 0 {
-		t.Fatalf("DisableZoneSkip build still skipped %d blocks", skips)
+		t.Fatalf("zone-less reference build still skipped %d blocks", skips)
 	}
 }
 
 // TestUpdateZoneSkipExactness: the streaming-update router's zone skip —
 // which must also feed the eager interval counters for skipped numeric
-// batches — leaves the tree identical to the unskipped descent, for both
-// insert and delete, while actually firing on clustered update chunks.
+// batches — leaves the tree identical to the unskipped descent over the
+// same tuples without zone maps, for both insert and delete, while
+// actually firing on clustered update chunks.
 func TestUpdateZoneSkipExactness(t *testing.T) {
 	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 2*data.DefaultChunkRows, 31)
 	_, chunkPath := writeF1Files(t, data.DefaultChunkRows, 256)
+	zoneless := zonelessCopy(t, chunkPath)
 
-	build := func(disable bool, reg *obs.Registry) *Tree {
+	build := func(reg *obs.Registry) *Tree {
 		t.Helper()
 		cfg := colTestConfig()
 		cfg.Parallelism = 8
 		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
 		cfg.Metrics = reg
 		// Small update batches: each covers a narrow slice of the sorted
 		// age range, so block zones can decide whole batches at the root.
@@ -162,39 +188,36 @@ func TestUpdateZoneSkipExactness(t *testing.T) {
 	}
 
 	regOn := obs.NewRegistry()
-	on := build(false, regOn)
+	on := build(regOn)
 	defer on.Close()
-	off := build(true, obs.NewRegistry())
+	off := build(obs.NewRegistry())
 	defer off.Close()
 
-	apply := func(bt *Tree, op func(data.Source) (UpdateStats, error)) {
+	apply := func(op func(data.Source) (UpdateStats, error), src data.Source) {
 		t.Helper()
-		src, err := data.Open(chunkPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := op(src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	apply(on, on.Insert)
-	apply(off, off.Insert)
+	apply(on.Insert, openFile(t, chunkPath))
+	apply(off.Insert, zoneless)
 	requireEqual(t, "after insert", on.Tree(), off.Tree())
 	if skips := regOn.Snapshot().Counters["update.blocks_skipped"]; skips == 0 {
 		t.Fatal("insert skipped no blocks on the clustered chunk; the test exercised nothing")
 	}
 
-	apply(on, on.Delete)
-	apply(off, off.Delete)
+	apply(on.Delete, openFile(t, chunkPath))
+	apply(off.Delete, zoneless)
 	requireEqual(t, "after delete", on.Tree(), off.Tree())
 }
 
 // TestBlockShardedTreeIdentity is the determinism contract of the
-// block-sharded cleanup scan: because every worker owns a contiguous
-// block range and the shadow trees merge in worker order, the scan
-// reproduces the exact sequential file order — so the tree is
-// bit-identical to the sequential build AND the chunk-sharded build, at
-// every parallelism and pipeline depth, with no silent fallback.
+// parallel cleanup scan over a many-block columnar file: with blocks
+// smaller than a chunk, every chunk spans several blocks, and the
+// chunk-sharded scan still merges its shadow trees in file order — so the
+// tree is bit-identical to the sequential row build AND to the default
+// chunk-sharded build, at every parallelism and pipeline depth, with no
+// silent fallback to the sequential scan.
 func TestBlockShardedTreeIdentity(t *testing.T) {
 	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
 
@@ -214,11 +237,7 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 	chunkCfg := colTestConfig()
 	chunkCfg.Parallelism = 8
 	chunkCfg.TempDir = t.TempDir()
-	chunkSrc, err := data.Open(colPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, err := Build(chunkSrc, chunkCfg)
+	chunked, err := Build(openFile(t, colPath), chunkCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,29 +247,24 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 	for _, depth := range []int{-1, 4} {
 		for _, para := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("depth%d-P%d", depth, para), func(t *testing.T) {
-				colSrc, err := data.Open(colPath)
-				if err != nil {
-					t.Fatal(err)
-				}
 				stats := &iostats.Stats{}
 				cfg := colTestConfig()
 				cfg.Parallelism = para
 				cfg.PipelineDepth = depth
-				cfg.BlockSharding = true
 				cfg.Stats = stats
 				cfg.TempDir = t.TempDir()
-				bt, err := Build(colSrc, cfg)
+				bt, err := Build(openFile(t, colPath), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer bt.Close()
-				requireEqual(t, "block-sharded vs row", bt.Tree(), ref.Tree())
-				requireEqual(t, "block-sharded vs chunk-sharded", bt.Tree(), chunked.Tree())
+				requireEqual(t, "many-block vs row", bt.Tree(), ref.Tree())
+				requireEqual(t, "many-block vs chunk-sharded", bt.Tree(), chunked.Tree())
 				if err := bt.CheckConsistency(); err != nil {
 					t.Fatal(err)
 				}
 				if f := stats.ScanFallbacks(); f != 0 {
-					t.Errorf("block-sharded build fell back %d times", f)
+					t.Errorf("parallel build fell back %d times", f)
 				}
 			})
 		}
@@ -288,13 +302,13 @@ func collectIntervalCounters(n *bnode) []int64 {
 func TestUpdateIntervalCountersExactUnderZoneSkip(t *testing.T) {
 	base := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 2*data.DefaultChunkRows, 31)
 	_, chunkPath := writeF1Files(t, data.DefaultChunkRows, 256)
+	zoneless := zonelessCopy(t, chunkPath)
 
-	build := func(disable bool, reg *obs.Registry) *Tree {
+	build := func(reg *obs.Registry) *Tree {
 		t.Helper()
 		cfg := colTestConfig()
 		cfg.Parallelism = 4
 		cfg.TempDir = t.TempDir()
-		cfg.DisableZoneSkip = disable
 		cfg.Metrics = reg
 		cfg.ScanChunkRows = 256
 		bt, err := Build(base, cfg)
@@ -304,9 +318,9 @@ func TestUpdateIntervalCountersExactUnderZoneSkip(t *testing.T) {
 		return bt
 	}
 	regOn := obs.NewRegistry()
-	on := build(false, regOn)
+	on := build(regOn)
 	defer on.Close()
-	off := build(true, obs.NewRegistry())
+	off := build(obs.NewRegistry())
 	defer off.Close()
 
 	compare := func(stage string) {
@@ -317,28 +331,24 @@ func TestUpdateIntervalCountersExactUnderZoneSkip(t *testing.T) {
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: interval counter %d differs: skip-on %d, skip-off %d", stage, i, a[i], b[i])
+				t.Fatalf("%s: interval counter %d differs: zone maps %d, none %d", stage, i, a[i], b[i])
 			}
 		}
 	}
-	apply := func(bt *Tree, op func(data.Source) (UpdateStats, error)) {
+	apply := func(op func(data.Source) (UpdateStats, error), src data.Source) {
 		t.Helper()
-		src, err := data.Open(chunkPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := op(src); err != nil {
 			t.Fatal(err)
 		}
 	}
 	compare("after build")
-	apply(on, on.Insert)
-	apply(off, off.Insert)
+	apply(on.Insert, openFile(t, chunkPath))
+	apply(off.Insert, zoneless)
 	compare("after insert")
 	if skips := regOn.Snapshot().Counters["update.blocks_skipped"]; skips == 0 {
 		t.Fatal("insert skipped no blocks; the eager-counting path was not exercised")
 	}
-	apply(on, on.Delete)
-	apply(off, off.Delete)
+	apply(on.Delete, openFile(t, chunkPath))
+	apply(off.Delete, zoneless)
 	compare("after delete")
 }

@@ -134,34 +134,6 @@ type Config struct {
 	// PipelineWorkers is the number of decode goroutines behind a
 	// pipelined scan. 0 selects min(4, GOMAXPROCS).
 	PipelineWorkers int
-	// BlockSharding shards the cleanup scan by contiguous block ranges of
-	// the columnar file instead of dealing chunks from one shared reader:
-	// each of the Parallelism workers owns a byte range of the file with a
-	// private reader and prefetch/decode pipeline, removing the
-	// single-reader and ordered-ring delivery bottlenecks. It requires a
-	// block-splittable source (data.BlockSplitSource — a ColSource,
-	// possibly behind iostats tracking) with at least one block per
-	// worker; anything else falls back to chunk sharding, and storage
-	// faults fall back to the sequential scan exactly like chunk
-	// sharding's. The resulting tree is bit-identical to every other scan
-	// mode: contiguous ranges merged in worker order reproduce the file
-	// order.
-	BlockSharding bool
-
-	// DisableZoneSkip turns off zone-map block skipping in the cleanup
-	// scan and streaming-update routers. A block is skipped only when its
-	// per-column min/max (or category bitmap) proves every row routes down
-	// one side of a coarse split, so skipping never changes a statistic, a
-	// buffer, or the resulting tree; the flag exists for benchmark
-	// baselines and the equivalence tests that pin that claim down.
-	DisableZoneSkip bool
-
-	// RowUpdates forces Insert and Delete onto the row-at-a-time baseline
-	// (one root-to-stick descent per tuple) instead of the default columnar
-	// chunk router. The resulting tree is bit-identical either way — the
-	// flag exists as the cross-check and benchmark baseline for the chunked
-	// path (see BenchmarkUpdate and TestUpdateChunkedMatchesRow).
-	RowUpdates bool
 
 	// Parallelism is the number of worker goroutines used by the three
 	// build phases: bootstrap-tree growth, the sharded cleanup scan, and
@@ -311,8 +283,7 @@ type BuildStats struct {
 type UpdateStats struct {
 	// TuplesSeen is the chunk size streamed down the tree.
 	TuplesSeen int64
-	// Chunks is the number of columnar batches the update was streamed in
-	// (0 on the row-at-a-time baseline path).
+	// Chunks is the number of columnar batches the update was streamed in.
 	Chunks int64
 	// RebuiltSubtrees counts nodes whose coarse criterion was invalidated
 	// by the update (distribution change), rebuilding their subtree.

@@ -106,7 +106,7 @@ type failOpenReadFS struct {
 	opens    atomic.Int64
 }
 
-var errShardDiskGone = errors.New("simulated permanent media failure in shard")
+var errShardDiskGone = errors.New("simulated permanent media failure during a scan")
 
 func (f *failOpenReadFS) CreateTemp(dir, pattern string) (data.File, error) {
 	return data.OsFS{}.CreateTemp(dir, pattern)
@@ -143,19 +143,20 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 }
 func (r *failAfterReader) Close() error { return r.rc.Close() }
 
-// blockShardBuildConfig is the shared configuration of the block-sharded
-// fault tests: enough blocks for 4 workers, pipelined reads.
-func blockShardBuildConfig(stats *iostats.Stats, dir string) Config {
+// shardedReadConfig is the shared configuration of the sharded-scan
+// read-fault tests: four workers over a columnar file large enough to
+// shard (at least two chunks), pipelined reads.
+func shardedReadConfig(stats *iostats.Stats, dir string) Config {
 	return Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 		SampleSize: 1500, Seed: 11, Parallelism: 4,
-		BlockSharding: true, Stats: stats, TempDir: dir,
+		Stats: stats, TempDir: dir,
 	}
 }
 
-// writeBlockShardFile materializes a columnar file with enough blocks to
-// block-shard across 4 workers.
-func writeBlockShardFile(t *testing.T, n int64) string {
+// writeShardedReadFile materializes a columnar file of n tuples in small
+// blocks, so a read fault can land mid-scan.
+func writeShardedReadFile(t *testing.T, n int64) string {
 	t.Helper()
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 77)
 	path := filepath.Join(t.TempDir(), "d.boatc")
@@ -165,50 +166,55 @@ func writeBlockShardFile(t *testing.T, n int64) string {
 	return path
 }
 
-// TestBlockShardedScanFallsBackOnReadFault: a permanent read failure
-// inside one worker's block range kills the block-sharded scan; the
-// build must reset every partial statistic, fall back to the sequential
-// scan, produce the exact fault-free tree, leak no goroutines, release
-// its budget, and count I/O passes without double-counting (sampling +
-// one block-sharded attempt + one sequential fallback = 3 scans, not one
-// per worker range).
-func TestBlockShardedScanFallsBackOnReadFault(t *testing.T) {
-	path := writeBlockShardFile(t, 12000)
-	ref, err := func() (*Tree, error) {
-		src, err := data.OpenColFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Build(src, blockShardBuildConfig(nil, t.TempDir()))
-	}()
+// shardedReadReference builds the fault-free tree the read-fault tests
+// compare against.
+func shardedReadReference(t *testing.T, path string) *Tree {
+	t.Helper()
+	src, err := data.OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := Build(src, shardedReadConfig(nil, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestShardedScanFallsBackOnReadFault: a permanent read failure in the
+// middle of the sharded cleanup scan's shared reader kills the scan; the
+// build must reset every partial statistic, fall back to the sequential
+// scan, produce the exact fault-free tree, leak no goroutines, release
+// its budget, and count I/O passes exactly (sampling + one sharded
+// attempt + one sequential fallback = 3 scans).
+func TestShardedScanFallsBackOnReadFault(t *testing.T) {
+	path := writeShardedReadFile(t, 12000)
+	ref := shardedReadReference(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
-	// Open #1 is the sampling pass; opens #2..#5 are the four workers'
-	// private readers. Fail the third open — one worker mid-range.
-	fs := &failOpenReadFS{failOpen: 3, okReads: 2}
+	// Open #1 is the sampling pass; open #2 is the sharded scan's reader.
+	// Fail it a few reads in, mid-file.
+	fs := &failOpenReadFS{failOpen: 2, okReads: 2}
 	src, err := data.OpenColFile(path, data.ColOptions{FS: fs, Retry: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := &iostats.Stats{}
 	budget := data.NewMemBudget(1 << 20)
-	cfg := blockShardBuildConfig(stats, t.TempDir())
+	cfg := shardedReadConfig(stats, t.TempDir())
 	cfg.Budget = budget
 	bt, err := Build(src, cfg)
 	if err != nil {
-		t.Fatalf("build did not recover from the shard read fault: %v", err)
+		t.Fatalf("build did not recover from the sharded-scan read fault: %v", err)
 	}
 	if got := stats.ScanFallbacks(); got != 1 {
 		t.Errorf("scan fallbacks = %d, want 1", got)
 	}
 	if got := stats.Scans(); got != 3 {
-		t.Errorf("scans = %d, want 3 (sampling, block-sharded attempt, sequential fallback)", got)
+		t.Errorf("scans = %d, want 3 (sampling, sharded attempt, sequential fallback)", got)
 	}
-	requireEqual(t, "fallback after shard read fault", bt.Tree(), ref.Tree())
+	requireEqual(t, "fallback after sharded read fault", bt.Tree(), ref.Tree())
 	if err := bt.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,21 +225,12 @@ func TestBlockShardedScanFallsBackOnReadFault(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestBlockShardedScanTransientReadRetried: transient read faults inside
-// worker ranges are absorbed by the blockReader's retry policy — no
-// fallback, no goroutine leaks, and the exact fault-free tree.
-func TestBlockShardedScanTransientReadRetried(t *testing.T) {
-	path := writeBlockShardFile(t, 12000)
-	ref, err := func() (*Tree, error) {
-		src, err := data.OpenColFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Build(src, blockShardBuildConfig(nil, t.TempDir()))
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestShardedScanTransientReadRetried: transient read faults under the
+// sharded cleanup scan are absorbed by the blockReader's retry policy —
+// no fallback, no goroutine leaks, and the exact fault-free tree.
+func TestShardedScanTransientReadRetried(t *testing.T) {
+	path := writeShardedReadFile(t, 12000)
+	ref := shardedReadReference(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
@@ -246,7 +243,7 @@ func TestBlockShardedScanTransientReadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &iostats.Stats{}
-	bt, err := Build(src, blockShardBuildConfig(stats, t.TempDir()))
+	bt, err := Build(src, shardedReadConfig(stats, t.TempDir()))
 	if err != nil {
 		t.Fatalf("build failed under transient read faults: %v", err)
 	}

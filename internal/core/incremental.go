@@ -66,58 +66,43 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	defer updSpan.End()
 	start := time.Now()
 
-	// Route the chunk down the tree: columnar batches through the chunk
-	// router by default, one descent per tuple when the row baseline is
-	// forced. Both paths update the same statistics with the same signed
-	// weight and fill the same buffers in stream order, so the trees they
-	// leave behind are bit-identical.
+	// Route the chunk down the tree in columnar batches. The chunk stream
+	// runs behind the same prefetch/decode pipeline as the cleanup scan
+	// (falling back to the plain chunked scan for non-columnar sources),
+	// and its stage report lands in the route span and the pipeline.*
+	// registry counters — the update router's reads are as observable as
+	// the build's.
 	tracked := iostats.Tracked(chunk, t.cfg.Stats)
 	routeSpan := updSpan.Start("route-chunk")
-	var err error
-	if t.cfg.RowUpdates {
-		routeSpan.SetAttr("mode", "row")
-		err = data.ForEach(tracked, func(tp data.Tuple) error {
-			upd.TuplesSeen++
-			return t.route(t.root, tp, w)
-		})
-	} else {
-		routeSpan.SetAttr("mode", "chunked")
-		rows := t.cfg.chunkRows()
-		if t.updScratch == nil {
-			t.updScratch = newRouteScratch(rows)
-		}
-		// The chunk stream runs behind the same prefetch/decode pipeline as
-		// the cleanup scan (falling back to the plain chunked scan for
-		// non-columnar sources), and its stage report lands in the route
-		// span and the pipeline.* registry counters — the update router's
-		// reads are as observable as the build's.
-		var csc data.ChunkScanner
-		csc, err = data.ScanChunksPipelined(tracked, t.pipelineCfg())
-		if err == nil {
-			ch := data.NewChunk(len(t.schema.Attributes), rows)
-			for err == nil {
-				ch.Reset()
-				nerr := csc.NextChunk(ch)
-				if nerr == io.EOF {
-					break
-				}
-				if nerr != nil {
-					err = nerr
-					break
-				}
-				if ch.Len() == 0 {
-					continue
-				}
-				upd.TuplesSeen += int64(ch.Len())
-				upd.Chunks++
-				err = t.runUpdateChunk(ch, t.updScratch, w)
+	rows := t.cfg.chunkRows()
+	if t.updScratch == nil {
+		t.updScratch = newRouteScratch(rows)
+	}
+	csc, err := data.ScanChunksPipelined(tracked, t.pipelineCfg())
+	if err == nil {
+		ch := data.NewChunk(len(t.schema.Attributes), rows)
+		for err == nil {
+			ch.Reset()
+			nerr := csc.NextChunk(ch)
+			if nerr == io.EOF {
+				break
 			}
-			if cerr := csc.Close(); err == nil {
-				err = cerr
+			if nerr != nil {
+				err = nerr
+				break
 			}
-			attachPipelineSpans(routeSpan, csc)
-			t.recordPipelineStats(csc)
+			if ch.Len() == 0 {
+				continue
+			}
+			upd.TuplesSeen += int64(ch.Len())
+			upd.Chunks++
+			err = t.runUpdateChunk(ch, t.updScratch, w)
 		}
+		if cerr := csc.Close(); err == nil {
+			err = cerr
+		}
+		attachPipelineSpans(routeSpan, csc)
+		t.recordPipelineStats(csc)
 	}
 	routeSpan.SetAttr("tuples", upd.TuplesSeen)
 	routeSpan.SetAttr("chunks", upd.Chunks)

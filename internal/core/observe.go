@@ -135,20 +135,12 @@ func (t *Tree) pipelineCfg() data.PipelineConfig {
 // nanos) — the cumulative, scrapeable twin of the per-span attribution
 // attachPipelineSpans performs. Non-pipelined scanners record nothing.
 func (t *Tree) recordPipelineStats(csc data.ChunkScanner) {
-	if csc == nil {
-		return
-	}
 	pr, ok := csc.(data.PipelineReporter)
-	if !ok {
+	if !ok || !t.cfg.Metrics.Enabled() {
 		return
 	}
-	t.recordPipelineStatsValue(pr.PipelineStats())
-}
-
-// recordPipelineStatsValue accumulates an extracted — possibly summed
-// across the block-sharded scan's per-worker pipelines — stats value.
-func (t *Tree) recordPipelineStatsValue(ps data.PipelineStats) {
-	if !t.cfg.Metrics.Enabled() || !ps.Enabled {
+	ps := pr.PipelineStats()
+	if !ps.Enabled {
 		return
 	}
 	t.met.pipeTotalBlocks.Add(ps.Blocks)

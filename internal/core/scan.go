@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/boatml/boat/internal/data"
@@ -39,8 +38,10 @@ import (
 // arenas.
 
 // cleanupScan streams src down the subtree rooted at root, returning the
-// number of tuples seen. Parallelism <= 1 follows the exact sequential
-// code path; otherwise the scan is sharded across workers.
+// number of tuples seen. Parallelism <= 1, or a known-size input of
+// fewer than two chunks, follows the sequential code path; otherwise the
+// scan is sharded across workers. The scan span's "mode" attribute names
+// the path taken.
 //
 // Storage faults degrade gracefully: a sharded scan that fails with a
 // SpillError has its statistics zeroed (resetScanState) and is rerun
@@ -62,38 +63,27 @@ func (t *Tree) cleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, e
 // fallback, or sequential with one retry) without the post-scan count
 // derivation, which cleanupScan applies exactly once on success.
 func (t *Tree) runCleanupScan(src data.Source, root *bnode, sp *obs.Span) (int64, error) {
-	if w := t.cfg.workers(); w > 1 {
-		// Tiny known-size inputs skip sharding: the overhead cannot pay off.
-		if n, ok := src.Count(); !ok || n >= int64(2*t.cfg.chunkRows()) {
-			var seen int64
-			var err error
-			if bs, blocks, ok := blockSplittable(src, w); ok && t.cfg.BlockSharding {
-				sp.SetAttr("mode", "block-sharded")
-				sp.SetAttr("workers", w)
-				sp.SetAttr("blocks", blocks)
-				seen, err = t.blockShardedScan(bs, root, w, sp)
-			} else {
-				sp.SetAttr("mode", "sharded")
-				sp.SetAttr("workers", w)
-				seen, err = t.shardedScan(src, root, w, sp)
-			}
-			if err == nil || !recoverableScanError(err) {
-				return seen, err
-			}
-			// A storage fault broke the sharded scan. Scan-phase faults
-			// leave the real tree untouched (shadow trees are private),
-			// but a fault during merging may have partially mutated it,
-			// so both cases are handled uniformly: zero every scan
-			// statistic and fall back to the sequential path.
-			t.cfg.Stats.RecordScanFallback()
-			t.log.Warn("sharded cleanup scan hit a storage fault; falling back to sequential", "err", err)
-			sp.SetAttr("fallback", "sequential")
-			if rerr := resetScanState(root); rerr != nil {
-				return seen, fmt.Errorf("core: resetting after failed sharded scan: %w", rerr)
-			}
+	w := t.cfg.workers()
+	// Tiny known-size inputs skip sharding: the overhead cannot pay off.
+	if n, ok := src.Count(); w > 1 && (!ok || n >= int64(2*t.cfg.chunkRows())) {
+		sp.SetAttr("mode", "sharded")
+		sp.SetAttr("workers", w)
+		seen, err := t.shardedScan(src, root, w, sp)
+		if err == nil || !recoverableScanError(err) {
+			return seen, err
 		}
-	}
-	if w := t.cfg.workers(); w <= 1 {
+		// A storage fault broke the sharded scan. Scan-phase faults
+		// leave the real tree untouched (shadow trees are private),
+		// but a fault during merging may have partially mutated it,
+		// so both cases are handled uniformly: zero every scan
+		// statistic and fall back to the sequential path.
+		t.cfg.Stats.RecordScanFallback()
+		t.log.Warn("sharded cleanup scan hit a storage fault; falling back to sequential", "err", err)
+		sp.SetAttr("fallback", "sequential")
+		if rerr := resetScanState(root); rerr != nil {
+			return seen, fmt.Errorf("core: resetting after failed sharded scan: %w", rerr)
+		}
+	} else {
 		sp.SetAttr("mode", "sequential")
 	}
 	seen, err := t.sequentialScan(src, root, sp)
@@ -122,23 +112,6 @@ func recoverableScanError(err error) bool {
 	}
 	var be *data.BlockError
 	return errors.As(err, &be)
-}
-
-// blockSplittable reports whether src can drive a block-sharded scan
-// with w workers: it (or the source behind its iostats wrapper) serves
-// independent block-range scans and has at least one block per worker.
-// Fewer blocks than workers degrades to chunk sharding, which can still
-// split the large blocks row-wise.
-func blockSplittable(src data.Source, w int) (data.BlockSplitSource, int64, bool) {
-	bs, ok := src.(data.BlockSplitSource)
-	if !ok {
-		return nil, 0, false
-	}
-	blocks := bs.BlockSplits()
-	if blocks < int64(w) {
-		return nil, 0, false
-	}
-	return bs, blocks, true
 }
 
 // deriveRoutingCounts reconstructs the per-node class statistics the
@@ -184,7 +157,6 @@ func (t *Tree) sequentialScan(src data.Source, root *bnode, sp *obs.Span) (int64
 	direct := newDirectTree(root)
 	rows := t.cfg.chunkRows()
 	sc := newRouteScratch(rows)
-	sc.zoneSkip = !t.cfg.DisableZoneSkip
 	start := time.Now()
 	csc, err := data.ScanChunksPipelined(src, t.pipelineCfg())
 	if err != nil {
@@ -231,23 +203,12 @@ func (t *Tree) sequentialScan(src data.Source, root *bnode, sp *obs.Span) (int64
 // A non-pipelined scanner (row files, in-memory sources, Depth < 0)
 // attaches nothing.
 func attachPipelineSpans(sp *obs.Span, csc data.ChunkScanner) {
-	if csc == nil {
-		return
-	}
 	pr, ok := csc.(data.PipelineReporter)
-	if !ok {
+	if !ok || sp == nil {
 		return
 	}
-	attachPipelineStats(sp, pr.PipelineStats())
-}
-
-// attachPipelineStats is attachPipelineSpans on an already-extracted
-// (possibly aggregated across per-worker pipelines) stats value. The
-// block-sharded scan sums its workers' reports and attaches them once,
-// so the span skeleton stays identical across scan modes and worker
-// counts.
-func attachPipelineStats(sp *obs.Span, ps data.PipelineStats) {
-	if sp == nil || !ps.Enabled {
+	ps := pr.PipelineStats()
+	if !ps.Enabled {
 		return
 	}
 	sp.SetAttr("pipeline_depth", ps.Depth)
@@ -267,23 +228,6 @@ func (t *Tree) recordZoneSkips(sp *obs.Span, skips int64) {
 	}
 	t.met.blocksSkipped.Add(skips)
 	sp.SetAttr("blocks_skipped", skips)
-}
-
-// rowScan is the row-at-a-time cleanup scan (one root-to-stick descent
-// per tuple via Tree.route). The chunked paths replaced it in the build;
-// it is retained as the baseline BenchmarkCleanupScan measures the
-// columnar path against, and as an oracle in equivalence tests. To stay
-// faithful to the path it stands in for — where every tuple was a
-// separately heap-allocated []float64 the moment it entered a buffer —
-// each tuple is cloned before routing; the shared buffers no longer do
-// that themselves.
-func (t *Tree) rowScan(src data.Source, root *bnode) (int64, error) {
-	var seen int64
-	err := data.ForEach(src, func(tp data.Tuple) error {
-		seen++
-		return t.route(root, tp.Clone(), +1)
-	})
-	return seen, err
 }
 
 // resetScanState zeroes every statistic and buffer a cleanup scan writes
@@ -465,10 +409,9 @@ type routeScratch struct {
 	rows   int
 	levels [][3][]int32 // per depth: left, right, stuck
 
-	// zoneSkip enables zone-map block skipping; skips counts the nodes at
-	// which a whole batch was routed by zone alone this scan.
-	zoneSkip bool
-	skips    int64
+	// skips counts the nodes at which a whole batch was routed by zone
+	// map alone this scan.
+	skips int64
 }
 
 func newRouteScratch(rows int) *routeScratch { return &routeScratch{rows: rows} }
@@ -530,23 +473,20 @@ func (s *shardNode) routeChunk(ch *data.Chunk, idx []int32, sc *routeScratch, de
 	// in the results). Only the stuck rows — which descend no further —
 	// have their classes counted here.
 	c := n.coarse
-	if sc.zoneSkip {
-		// Zone-map pushdown: when the chunk's column summary proves every
-		// row routes down one side, descend the whole batch directly and
-		// skip the partition kernel. The statistics kernels above already
-		// ran (they need every row at this node), and the insert-only
-		// scan's deferred class counting makes the bypass free of
-		// bookkeeping: a skip decision implies no stuck rows and no
-		// v == c.lo rows, so eqLow and the stuck path are untouched by
-		// construction.
-		if z, ok := ch.Zone(c.attr); ok {
-			if dir := zoneRoute(c, z); dir != 0 {
-				sc.skips++
-				if dir < 0 {
-					return s.left.routeChunk(ch, idx, sc, depth+1)
-				}
-				return s.right.routeChunk(ch, idx, sc, depth+1)
+	// Zone-map pushdown: when the chunk's column summary proves every row
+	// routes down one side, descend the whole batch directly and skip the
+	// partition kernel. The statistics kernels above already ran (they
+	// need every row at this node), and the insert-only scan's deferred
+	// class counting makes the bypass free of bookkeeping: a skip decision
+	// implies no stuck rows and no v == c.lo rows, so eqLow and the stuck
+	// path are untouched by construction.
+	if z, ok := ch.Zone(c.attr); ok {
+		if dir := zoneRoute(c, z); dir != 0 {
+			sc.skips++
+			if dir < 0 {
+				return s.left.routeChunk(ch, idx, sc, depth+1)
 			}
+			return s.right.routeChunk(ch, idx, sc, depth+1)
 		}
 	}
 	col := ch.Col(c.attr)
@@ -740,7 +680,6 @@ func (t *Tree) shardedScan(src data.Source, root *bnode, w int, sp *obs.Span) (i
 		go func(shard *shardNode, in <-chan *data.Chunk, routed, skipped *int64) {
 			defer wg.Done()
 			sc := newRouteScratch(rows)
-			sc.zoneSkip = !t.cfg.DisableZoneSkip
 			ok := true
 			for chunk := range in {
 				if ok {
@@ -821,141 +760,6 @@ func (t *Tree) shardedScan(src data.Source, root *bnode, w int, sp *obs.Span) (i
 			// Close the failed shard too: merge returns mid-walk with its
 			// un-merged buffers (and their temp files) still open. Close is
 			// idempotent, so re-closing already-merged buffers is safe.
-			for _, rest := range shards[i:] {
-				rest.close()
-			}
-			return seen, fmt.Errorf("core: merging scan shard %d: %w", i, err)
-		}
-	}
-	return seen, nil
-}
-
-// blockShardedScan drives w workers over disjoint contiguous block
-// ranges of a splittable columnar source. Unlike shardedScan there is no
-// shared reader and no dealer: each worker owns a byte range of the
-// file, runs its own prefetch/decode pipeline and zone-map pushdown, and
-// routes into its private shadow tree. The shadow trees merge in worker
-// order, and since worker i's range precedes worker i+1's in the file,
-// the merged buffers see rows in exact file order — bit-identical to the
-// sequential scan at every worker count, a stronger guarantee than chunk
-// sharding's per-worker-count determinism.
-//
-// A failed worker flips a shared flag that stops the other workers at
-// their next chunk boundary; everyone still closes its own scanner, so
-// no goroutine or reader outlives the call. The first failure by worker
-// order is returned (deterministic under concurrent faults).
-func (t *Tree) blockShardedScan(bs data.BlockSplitSource, root *bnode, w int, sp *obs.Span) (int64, error) {
-	blocks := bs.BlockSplits()
-	budgets := t.budget.Split(w)
-	shards := make([]*shardNode, w)
-	for i := range shards {
-		shards[i] = t.newShardTree(root, budgets[i])
-	}
-	rows := t.cfg.chunkRows()
-
-	type shardResult struct {
-		routed int64
-		skips  int64
-		secs   float64
-		ps     data.PipelineStats
-		err    error
-	}
-	results := make([]shardResult, w)
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-	)
-	for i := 0; i < w; i++ {
-		lo := int64(i) * blocks / int64(w)
-		hi := int64(i+1) * blocks / int64(w)
-		wg.Add(1)
-		go func(res *shardResult, shard *shardNode, lo, hi int64) {
-			defer wg.Done()
-			t0 := time.Now()
-			sc := newRouteScratch(rows)
-			sc.zoneSkip = !t.cfg.DisableZoneSkip
-			csc, err := bs.ScanChunkRange(lo, hi, t.pipelineCfg())
-			if err != nil {
-				res.err = err
-				failed.Store(true)
-				return
-			}
-			ch := data.NewChunk(len(t.schema.Attributes), rows)
-			for res.err == nil && !failed.Load() {
-				ch.Reset()
-				err := csc.NextChunk(ch)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					res.err = err
-					break
-				}
-				if ch.Len() == 0 {
-					continue
-				}
-				res.routed += int64(ch.Len())
-				res.err = shard.routeChunk(ch, nil, sc, 0)
-			}
-			if cerr := csc.Close(); res.err == nil && cerr != nil {
-				res.err = cerr
-			}
-			if pr, ok := csc.(data.PipelineReporter); ok {
-				res.ps = pr.PipelineStats()
-			}
-			res.skips = sc.skips
-			res.secs = time.Since(t0).Seconds()
-			if res.err != nil {
-				failed.Store(true)
-			}
-		}(&results[i], shards[i], lo, hi)
-	}
-	wg.Wait()
-
-	// Aggregate per-worker telemetry into the single per-scan report the
-	// chunk-sharded and sequential paths emit, so the span skeleton and
-	// metric families are identical across scan modes.
-	var (
-		seen, skips int64
-		agg         data.PipelineStats
-		scanErr     error
-	)
-	for i := range results {
-		r := &results[i]
-		seen += r.routed
-		skips += r.skips
-		if r.ps.Enabled {
-			if !agg.Enabled {
-				agg = r.ps
-			} else {
-				agg.Blocks += r.ps.Blocks
-				agg.PhysBytes += r.ps.PhysBytes
-				agg.Read += r.ps.Read
-				agg.Decode += r.ps.Decode
-				agg.Deliver += r.ps.Deliver
-				if r.ps.Start.Before(agg.Start) {
-					agg.Start = r.ps.Start
-				}
-			}
-		}
-		if scanErr == nil && r.err != nil {
-			scanErr = r.err
-		}
-	}
-	attachPipelineStats(sp, agg)
-	t.recordPipelineStatsValue(agg)
-	if scanErr != nil {
-		for _, s := range shards {
-			s.close()
-		}
-		return seen, scanErr
-	}
-	for i := range results {
-		t.recordShardThroughput(i, results[i].routed, results[i].secs)
-	}
-	t.recordZoneSkips(sp, skips)
-	for i, s := range shards {
-		if err := s.merge(); err != nil {
 			for _, rest := range shards[i:] {
 				rest.close()
 			}

@@ -49,11 +49,9 @@ type updateRun struct {
 	scratch sync.Pool
 	wg      sync.WaitGroup
 
-	// zoneSkip enables zone-map batch skipping; skips counts the nodes at
-	// which a whole batch was routed by zone alone (atomic: forked
-	// descents skip concurrently).
-	zoneSkip bool
-	skips    atomic.Int64
+	// skips counts the nodes at which a whole batch was routed by zone
+	// map alone (atomic: forked descents skip concurrently).
+	skips atomic.Int64
 
 	mu  sync.Mutex
 	err error
@@ -71,7 +69,7 @@ func (r *updateRun) fail(err error) {
 // (+1 insert, -1 delete), forking subtree descents across up to
 // Config.Parallelism workers, and returns after every descent completes.
 func (t *Tree) runUpdateChunk(ch *data.Chunk, sc *routeScratch, w int64) error {
-	r := &updateRun{w: w, zoneSkip: !t.cfg.DisableZoneSkip}
+	r := &updateRun{w: w}
 	if workers := t.cfg.workers(); workers > 1 {
 		r.sem = make(chan struct{}, workers-1)
 	}
@@ -128,36 +126,34 @@ func (r *updateRun) update(n *bnode, ch *data.Chunk, idx []int32, sc *routeScrat
 		n.moments.AddChunkW(ch, idx, w)
 	}
 	c := n.coarse
-	if r.zoneSkip {
-		// Zone-map pushdown, mirroring the cleanup-scan router — with one
-		// extra obligation: the update router counts eagerly, so a skipped
-		// numeric batch must still feed the interval counters exactly as
-		// the per-row pass would. A left skip implies every value is
-		// strictly below c.lo (lowCounts, never eqLow); a right skip
-		// implies every value is above c.hi or NaN (highCounts). Neither
-		// direction can strand stuck rows, so the bag paths stay untouched.
-		if z, ok := ch.Zone(c.attr); ok {
-			if dir := zoneRoute(c, z); dir != 0 {
-				r.skips.Add(1)
-				child := n.left
-				counts := n.lowCounts
-				if dir > 0 {
-					child = n.right
-					counts = n.highCounts
-				}
-				if c.kind == data.Numeric {
-					if idx == nil {
-						for _, cl := range classes {
-							counts[cl] += w
-						}
-					} else {
-						for _, i := range idx {
-							counts[classes[i]] += w
-						}
+	// Zone-map pushdown, mirroring the cleanup-scan router — with one
+	// extra obligation: the update router counts eagerly, so a skipped
+	// numeric batch must still feed the interval counters exactly as
+	// the per-row pass would. A left skip implies every value is
+	// strictly below c.lo (lowCounts, never eqLow); a right skip
+	// implies every value is above c.hi or NaN (highCounts). Neither
+	// direction can strand stuck rows, so the bag paths stay untouched.
+	if z, ok := ch.Zone(c.attr); ok {
+		if dir := zoneRoute(c, z); dir != 0 {
+			r.skips.Add(1)
+			child := n.left
+			counts := n.lowCounts
+			if dir > 0 {
+				child = n.right
+				counts = n.highCounts
+			}
+			if c.kind == data.Numeric {
+				if idx == nil {
+					for _, cl := range classes {
+						counts[cl] += w
+					}
+				} else {
+					for _, i := range idx {
+						counts[classes[i]] += w
 					}
 				}
-				return r.update(child, ch, idx, sc, depth+1)
 			}
+			return r.update(child, ch, idx, sc, depth+1)
 		}
 	}
 	col := ch.Col(c.attr)

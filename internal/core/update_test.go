@@ -56,12 +56,29 @@ func advTuples(n int, seed int64, adversarial bool) []data.Tuple {
 	return out
 }
 
+// rowUpdate is the row-at-a-time update oracle: one Tree.route descent
+// per tuple with signed weight w, then the same top-down processing pass
+// Insert and Delete run. It takes the update mutex like they do but
+// skips their telemetry and snapshot publishing.
+func rowUpdate(bt *Tree, chunk data.Source, w int64) error {
+	bt.updateMu.Lock()
+	defer bt.updateMu.Unlock()
+	err := data.ForEach(chunk, func(tp data.Tuple) error {
+		return bt.route(bt.root, tp.Clone(), w)
+	})
+	if err != nil {
+		return err
+	}
+	return bt.process(bt.root, 0, nil)
+}
+
 // TestUpdateChunkedMatchesRow is the update-path parity property test: a
 // BOAT tree maintained with the columnar chunk router must stay
-// bit-identical to one maintained with the row-at-a-time baseline AND to a
-// from-scratch reference build on the evolving dataset — including under
-// adversarial chunks carrying NaN numeric values, negative values, and
-// unseen high categorical codes, at Parallelism 1 and 8.
+// bit-identical to one maintained by the row-at-a-time oracle (rowUpdate)
+// AND to a from-scratch reference build on the evolving dataset —
+// including under adversarial chunks carrying NaN numeric values,
+// negative values, and unseen high categorical codes, at Parallelism 1
+// and 8.
 func TestUpdateChunkedMatchesRow(t *testing.T) {
 	schema := advSchema()
 	base := advTuples(6000, 1, false)
@@ -82,9 +99,7 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer chTree.Close()
-			rowCfg := cfg
-			rowCfg.RowUpdates = true
-			rowTree, err := Build(data.NewMemSource(schema, data.CloneTuples(base)), rowCfg)
+			rowTree, err := Build(data.NewMemSource(schema, data.CloneTuples(base)), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,15 +112,11 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chunked insert %d: %v", i, err)
 				}
-				rowUpd, err := rowTree.Insert(chunk)
-				if err != nil {
+				if err := rowUpdate(rowTree, chunk, +1); err != nil {
 					t.Fatalf("row insert %d: %v", i, err)
 				}
 				if chUpd.Chunks == 0 {
 					t.Error("chunked path reported zero chunks")
-				}
-				if rowUpd.Chunks != 0 {
-					t.Errorf("row baseline reported %d chunks", rowUpd.Chunks)
 				}
 				all = append(all, ct...)
 				requireEqual(t, fmt.Sprintf("chunked vs row after insert %d", i),
@@ -128,7 +139,7 @@ func TestUpdateChunkedMatchesRow(t *testing.T) {
 			if _, err := chTree.Delete(expired); err != nil {
 				t.Fatalf("chunked delete: %v", err)
 			}
-			if _, err := rowTree.Delete(expired); err != nil {
+			if err := rowUpdate(rowTree, expired, -1); err != nil {
 				t.Fatalf("row delete: %v", err)
 			}
 			all = subtract(all, chunks[0])
@@ -343,19 +354,15 @@ func TestConcurrentSnapshotDuringUpdate(t *testing.T) {
 		inmem.Build(base.Schema(), data.CloneTuples(all), g))
 }
 
-// BenchmarkUpdate compares the row-at-a-time update baseline against the
-// columnar chunk router. Stop-at-threshold keeps leaf families as stored
-// buffers without in-memory subtrees, so routing and statistics
-// maintenance dominate the measurement. Each iteration inserts and then
-// expires the same chunk, returning the tree to its initial state.
 // BenchmarkUpdate measures sustained sliding-window maintenance — the
 // paper's dynamic environment and the boatstream driver's workload: each
 // operation inserts the newest data chunk and deletes the expired one, so
 // the tree's net size stays constant while every update path (batch
 // statistics, stuck-set bookkeeping, pending-removal cancellation on
-// re-arriving data, misses on fresh data) stays exercised. The row
-// sub-benchmark forces the row-at-a-time baseline (Config.RowUpdates) on
-// the identical workload.
+// re-arriving data, misses on fresh data) stays exercised.
+// Stop-at-threshold keeps leaf families as stored buffers without
+// in-memory subtrees, so routing and statistics maintenance dominate the
+// measurement.
 func BenchmarkUpdate(b *testing.B) {
 	const (
 		chunkTuples = 10000
@@ -367,39 +374,31 @@ func BenchmarkUpdate(b *testing.B) {
 	for i := range chunks {
 		chunks[i] = gen.MustSource(gen.Config{Function: 1}, chunkTuples, int64(10+i))
 	}
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"chunked", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			bt, err := Build(base, Config{
-				Method: split.NewGini(), StopThreshold: 4000, StopAtThreshold: true,
-				SampleSize: 8000, BootstrapTrees: 5, Seed: 1, RowUpdates: mode.row,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bt.Close()
-			// Reach the steady state: the window holds `window` live chunks.
-			for i := 0; i < window; i++ {
-				if _, err := bt.Insert(chunks[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bt.Insert(chunks[(window+i)%slots]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := bt.Delete(chunks[i%slots]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)*2*chunkTuples/elapsed, "tuples/sec")
-			}
-		})
+	bt, err := Build(base, Config{
+		Method: split.NewGini(), StopThreshold: 4000, StopAtThreshold: true,
+		SampleSize: 8000, BootstrapTrees: 5, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bt.Close()
+	// Reach the steady state: the window holds `window` live chunks.
+	for i := 0; i < window; i++ {
+		if _, err := bt.Insert(chunks[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bt.Insert(chunks[(window+i)%slots]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bt.Delete(chunks[i%slots]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(b.N)*2*chunkTuples/elapsed, "tuples/sec")
 	}
 }

@@ -1,9 +1,11 @@
 package data
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -226,6 +228,44 @@ func TestColFileZones(t *testing.T) {
 	}
 }
 
+// v1ColFile rewrites a version-2 columnar file into the retired
+// version-1 layout: the same header (with version byte 1) and blocks, no
+// offset index, and the 24-byte footer of row count, block count and end
+// magic.
+func v1ColFile(v2 []byte) []byte {
+	foot := v2[len(v2)-colFooterLen:]
+	indexLen := int(binary.LittleEndian.Uint64(foot[16:]))
+	out := append([]byte(nil), v2[:len(v2)-colFooterLen-indexLen]...)
+	out[len(colMagic)] = 1
+	out = append(out, foot[:16]...)
+	return append(out, colEndMagic...)
+}
+
+// TestColFileV1Rejected: a version-1 file fails at open with an error
+// that names the version and asks for the file to be regenerated.
+func TestColFileV1Rejected(t *testing.T) {
+	v2, err := os.ReadFile(writeColTestFile(t, colTestTuples(777), 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/v1.boatc"
+	if err := os.WriteFile(path, v1ColFile(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func(string) (Source, error){
+		func(p string) (Source, error) { return OpenColFile(p) },
+		func(p string) (Source, error) { return Open(p) },
+	} {
+		_, err := open(path)
+		if err == nil {
+			t.Fatal("version-1 file opened")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "regenerate") {
+			t.Fatalf("error does not name version 1 and ask to regenerate: %v", err)
+		}
+	}
+}
+
 // TestColFileTornFile: a file missing its footer — the shape a crashed
 // writer leaves behind — is rejected at open with ErrColTruncated.
 func TestColFileTornFile(t *testing.T) {
@@ -242,6 +282,40 @@ func TestColFileTornFile(t *testing.T) {
 			t.Fatalf("open after losing %d bytes: %v, want ErrColTruncated", cut, err)
 		}
 	}
+}
+
+// TestColFileOffsetIndex: the offset index is format only. A footer
+// whose index length disagrees with the block count is rejected at open
+// with ErrColTruncated, while a corrupt index body is never read, so the
+// file still opens and scans in full.
+func TestColFileOffsetIndex(t *testing.T) {
+	tuples := colTestTuples(300)
+	raw, err := os.ReadFile(writeColTestFile(t, tuples, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	foot := len(raw) - colFooterLen
+
+	badLen := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(badLen[foot+16:], binary.LittleEndian.Uint64(raw[foot+16:])+8)
+	if err := os.WriteFile(dir+"/len.boatc", badLen, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenColFile(dir + "/len.boatc"); !errors.Is(err, ErrColTruncated) {
+		t.Fatalf("open with a wrong index length: %v, want ErrColTruncated", err)
+	}
+
+	badIndex := append([]byte(nil), raw...)
+	badIndex[foot-6] ^= 0xff // inside the index, before its CRC
+	if err := os.WriteFile(dir+"/idx.boatc", badIndex, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenColFile(dir + "/idx.boatc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSourceTuples(t, "corrupt index body", s, tuples)
 }
 
 // TestColFileChecksumMismatch: a flipped payload byte surfaces as a typed

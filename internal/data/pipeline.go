@@ -159,10 +159,9 @@ type pipeItem struct {
 
 // colPipeline is the ChunkScanner backed by the asynchronous pipeline.
 type colPipeline struct {
-	src  *ColSource
-	br   *blockReader
-	cfg  PipelineConfig
-	base int64 // first block of the scanned range (0 for full-file scans)
+	src *ColSource
+	br  *blockReader
+	cfg PipelineConfig
 
 	pool    *ChunkPool
 	rawFree chan []byte
@@ -197,7 +196,6 @@ func newColPipeline(src *ColSource, br *blockReader, cfg PipelineConfig) *colPip
 		src:     src,
 		br:      br,
 		cfg:     cfg,
-		base:    src.lo,
 		pool:    NewChunkPool(len(src.schema.Attributes), src.blockRows),
 		rawFree: make(chan []byte, cfg.Depth+cfg.Workers),
 		tokens:  make(chan struct{}, cfg.Depth),
@@ -259,7 +257,7 @@ func (p *colPipeline) worker() {
 		if job.err == nil {
 			ch := p.pool.Get()
 			t0 := time.Now()
-			if err := p.src.decodeBlock(job.raw, p.base+job.seq, ch, zones); err != nil {
+			if err := p.src.decodeBlock(job.raw, job.seq, ch, zones); err != nil {
 				p.pool.Put(ch)
 				item.err = err
 			} else {

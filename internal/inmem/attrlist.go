@@ -18,8 +18,8 @@ import (
 //
 // The selected splits are identical to the naive per-node re-sorting
 // builder (both feed the same integer counts to the same split-selection
-// code); BuildNaive is retained and the test suite cross-checks the two
-// on randomized inputs.
+// code); the test suite cross-checks the two on randomized inputs, with
+// the naive builder kept as a test oracle (naive_test.go).
 
 // attrList is one numeric attribute's sorted projection over a family:
 // parallel arrays of value, class label, and row id into the fixed tuple

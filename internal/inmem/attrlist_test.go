@@ -43,7 +43,7 @@ func TestAttributeListMatchesNaive(t *testing.T) {
 				cfg.StopAtThreshold = rng.Intn(2) == 0
 			}
 			fast := Build(src.Schema(), data.CloneTuples(tuples), cfg)
-			naive := BuildNaive(src.Schema(), data.CloneTuples(tuples), cfg)
+			naive := buildNaive(src.Schema(), data.CloneTuples(tuples), cfg)
 			if !fast.Equal(naive) {
 				t.Fatalf("fn=%d m=%s cfg=%+v: %s", fn, m.Name(), cfg, fast.Diff(naive))
 			}
@@ -92,6 +92,6 @@ func BenchmarkBuildNaive(b *testing.B) {
 	cfg := Config{Method: split.NewGini(), StopThreshold: 15_000, StopAtThreshold: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildNaive(src.Schema(), data.CloneTuples(tuples), cfg)
+		buildNaive(src.Schema(), data.CloneTuples(tuples), cfg)
 	}
 }

@@ -156,7 +156,7 @@ func TestPartition(t *testing.T) {
 		{Values: []float64{8, 0}, Class: 1},
 	}
 	crit := split.Split{Found: true, Attr: 0, Kind: data.Numeric, Threshold: 5}
-	n := Partition(tuples, crit)
+	n := partition(tuples, crit)
 	if n != 2 {
 		t.Fatalf("left count = %d, want 2", n)
 	}

@@ -355,39 +355,6 @@ func (t *trackedSource) ScanChunksPipeline(cfg data.PipelineConfig) (data.ChunkS
 	return t.wrapChunkScanner(sc), nil
 }
 
-// BlockSplits implements data.BlockSplitSource by forwarding to the
-// wrapped source: 0 (not splittable) when the inner source has no
-// block-range scan.
-func (t *trackedSource) BlockSplits() int64 {
-	if bs, ok := t.inner.(data.BlockSplitSource); ok {
-		return bs.BlockSplits()
-	}
-	return 0
-}
-
-// ScanChunkRange implements data.BlockSplitSource with the same
-// accounting as the whole-file scans, except that only the range
-// containing block 0 records a scan: the N ranges of one block-sharded
-// pass together constitute a single sequential scan over the database,
-// and counting each range would inflate the paper's primary cost metric
-// N-fold. Rows and physical bytes are recorded per range scanner, each
-// tracking its own reader's delta, so per-worker volumes sum to exactly
-// one pass with no double counting.
-func (t *trackedSource) ScanChunkRange(lo, hi int64, cfg data.PipelineConfig) (data.ChunkScanner, error) {
-	bs, ok := t.inner.(data.BlockSplitSource)
-	if !ok {
-		return nil, fmt.Errorf("iostats: source %T is not block-splittable", t.inner)
-	}
-	sc, err := bs.ScanChunkRange(lo, hi, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if lo == 0 {
-		t.stats.RecordScan()
-	}
-	return t.wrapChunkScanner(sc), nil
-}
-
 func (t *trackedSource) wrapChunkScanner(sc data.ChunkScanner) data.ChunkScanner {
 	w := &trackedChunkScanner{inner: sc, stats: t.stats, tupleBytes: t.tupleBytes}
 	w.phys, _ = sc.(data.PhysicalReader)
