@@ -74,8 +74,10 @@ type (
 	Tuple = data.Tuple
 	// Source is a scannable training database; scans may be repeated.
 	Source = data.Source
-	// Scanner is one sequential pass over a Source.
-	Scanner = data.Scanner
+	// ChunkScanner is one sequential pass over a Source, in chunks.
+	ChunkScanner = data.ChunkScanner
+	// Chunk is a columnar batch of tuples.
+	Chunk = data.Chunk
 	// Format selects the on-disk tuple encoding.
 	Format = data.Format
 )
@@ -95,6 +97,10 @@ const (
 func NewSchema(attrs []Attribute, classCount int) (*Schema, error) {
 	return data.NewSchema(attrs, classCount)
 }
+
+// ForEach scans src once, invoking fn for every tuple. The tuple passed to
+// fn is only valid during the call; Clone it to keep it.
+func ForEach(src Source, fn func(Tuple) error) error { return data.ForEach(src, fn) }
 
 // NewMemSource wraps an in-memory tuple slice as a Source.
 func NewMemSource(schema *Schema, tuples []Tuple) Source {

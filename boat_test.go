@@ -158,19 +158,11 @@ func TestPublicAPIQuestMethod(t *testing.T) {
 func readAll(t *testing.T, src boat.Source) []boat.Tuple {
 	t.Helper()
 	var out []boat.Tuple
-	sc, err := src.Scan()
-	if err != nil {
+	if err := boat.ForEach(src, func(tp boat.Tuple) error {
+		out = append(out, tp.Clone())
+		return nil
+	}); err != nil {
 		t.Fatal(err)
-	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err != nil {
-			break
-		}
-		for _, tp := range batch {
-			out = append(out, tp.Clone())
-		}
 	}
 	return out
 }

@@ -14,29 +14,21 @@
 //	boatbench -experiment fig4
 //	boatbench -experiment all -unit 50000 -files
 //	boatbench -experiment fig12
-//	boatbench -predictjson BENCH_predict.json
 //	boatbench -experiment fig4 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
 
-	"github.com/boatml/boat/internal/data"
 	"github.com/boatml/boat/internal/experiments"
-	"github.com/boatml/boat/internal/gen"
-	"github.com/boatml/boat/internal/inmem"
-	"github.com/boatml/boat/internal/iostats"
 	"github.com/boatml/boat/internal/obs"
-	"github.com/boatml/boat/internal/predict"
 	"github.com/boatml/boat/internal/split"
 )
 
@@ -96,11 +88,6 @@ func main() {
 		faultBuilds = flag.Int("faultbuilds", 100, "number of fault-injected builds in the soak")
 		faultSeed   = flag.Int64("faultseed", 1, "base seed for the injected fault sequence")
 
-		benchTuples = flag.Int64("benchtuples", 200_000, "dataset size for -predictjson")
-		benchRounds = flag.Int("benchrounds", 3, "classification passes per mode for -predictjson")
-
-		predictJSON = flag.String("predictjson", "", "run the classification micro-benchmark (per-tuple pointer walk vs flat walk vs chunked kernel vs parallel predictor on the Fig-4/F1 workload, depth >= 8) and write measurements to this JSON file instead of a figure")
-
 		metricsJSON = flag.String("metricsjson", "", `write the accumulated BOAT metrics registry as JSON to this file ("-" = stdout)`)
 		listen      = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the run ("" disables)`)
 		logJSON     = flag.Bool("logjson", false, "emit structured logs as JSON instead of text")
@@ -127,8 +114,6 @@ func main() {
 		files: *files, dir: *dir, seed: *seed, method: *method,
 		para: *para, verbose: *verbose, logger: logger,
 		faults: *faults, faultBuilds: *faultBuilds, faultSeed: *faultSeed,
-		benchTuples: *benchTuples, benchRounds: *benchRounds,
-		predictJSON: *predictJSON,
 		metricsJSON: *metricsJSON, listen: *listen,
 	})
 	stopProfiles()
@@ -212,10 +197,6 @@ type mainConfig struct {
 	faultBuilds int
 	faultSeed   int64
 
-	benchTuples int64
-	benchRounds int
-	predictJSON string
-
 	metricsJSON string
 	listen      string
 }
@@ -253,14 +234,6 @@ func run(mc mainConfig) int {
 			return 2
 		}
 		defer diag.Close()
-	}
-
-	if mc.predictJSON != "" {
-		code := runPredictBench(mc, m, metrics)
-		if code == 0 {
-			code = dumpMetrics(metrics, mc.metricsJSON)
-		}
-		return code
 	}
 
 	cfg := experiments.Config{
@@ -362,154 +335,5 @@ func dumpMetrics(metrics *obs.Registry, path string) int {
 		fmt.Fprintf(os.Stderr, "boatbench: metricsjson: %v\n", err)
 		return 1
 	}
-	return 0
-}
-
-// benchProvenance pins down what produced a -predictjson report: the
-// machine-independent run configuration, the toolchain, and the source
-// revision (from the binary's embedded VCS stamp, when built from a git
-// checkout).
-type benchProvenance struct {
-	Parallelism   int    `json:"parallelism"`
-	ScanChunkRows int    `json:"scan_chunk_rows"`
-	Method        string `json:"method"`
-	Seed          int64  `json:"seed"`
-	GoVersion     string `json:"go_version"`
-	GitSHA        string `json:"git_sha,omitempty"`
-	GitModified   bool   `json:"git_modified,omitempty"`
-}
-
-// gitRevision extracts the vcs.revision/vcs.modified stamps the Go
-// linker embeds when the binary is built inside a git checkout.
-func gitRevision() (sha string, modified bool) {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "", false
-	}
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			sha = s.Value
-		case "vcs.modified":
-			modified = s.Value == "true"
-		}
-	}
-	return sha, modified
-}
-
-// predictBenchReport is the JSON document -predictjson writes: one
-// measurement per classification mode, the tree's shape, the headline
-// speedups over the per-tuple pointer baseline, the determinism
-// verification, and the run's provenance.
-type predictBenchReport struct {
-	Workload               string                `json:"workload"`
-	Tuples                 int64                 `json:"tuples"`
-	Rounds                 int                   `json:"rounds"`
-	TreeDepth              int                   `json:"tree_depth"`
-	TreeNodes              int                   `json:"tree_nodes"`
-	TreeLeaves             int                   `json:"tree_leaves"`
-	GOMAXPROCS             int                   `json:"gomaxprocs"`
-	Config                 benchProvenance       `json:"config"`
-	Modes                  []predict.Measurement `json:"modes"`
-	FlatSpeedupVsTuple     float64               `json:"flat_speedup_vs_tuple"`
-	ChunkSpeedupVsTuple    float64               `json:"chunk_speedup_vs_tuple"`
-	ParallelSpeedupVsTuple float64               `json:"parallel_speedup_vs_tuple"`
-	ChunkAllocsPerTuple    float64               `json:"chunk_allocs_per_tuple"`
-	DeterminismConfigs     int                   `json:"determinism_configs_verified"`
-}
-
-// predictBenchChunkRows is the chunk row capacity the predict benchmark
-// serves with. Larger chunks keep the batch router's per-node batches
-// above the SIMD/descent cutoffs for more levels; 16K rows measured best
-// on the Fig-4 tree depths this benchmark grows (a 16K-row column is
-// 128KiB — still L2-resident — where 64K-row columns spill to L3).
-const predictBenchChunkRows = 16384
-
-// runPredictBench times full classification passes per mode over a tree
-// grown on the Fig-4/F1 workload. The tree is grown deep (MaxDepth 12,
-// MinSplit 4) so the per-tuple baseline pays a realistic number of levels
-// per descent; the report records the actual depth reached. Before any
-// timing, every (parallelism, chunk-rows) acceptance configuration is
-// verified bit-identical to the pointer baseline.
-func runPredictBench(mc mainConfig, m split.Method, metrics *obs.Registry) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "boatbench: predictjson: %v\n", err)
-		return 1
-	}
-	n := mc.benchTuples
-	fmt.Printf("=== classification benchmark: Fig-4/F1 workload, %d tuples, %d rounds/mode ===\n",
-		n, mc.benchRounds)
-	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, mc.seed+43)
-	tuples, err := data.ReadAll(gsrc)
-	if err != nil {
-		return fail(err)
-	}
-	src := data.NewMemSource(gsrc.Schema(), tuples)
-	tr := inmem.Build(gsrc.Schema(), tuples, inmem.Config{
-		Method: m, MaxDepth: 12, MinSplit: 4,
-	})
-	fmt.Printf("tree: %d nodes, %d leaves, depth %d\n", tr.NumNodes(), tr.NumLeaves(), tr.Depth())
-
-	stats := &iostats.Stats{}
-	bench, err := predict.NewBench(tr, src, predict.Config{
-		Parallelism: mc.para, ChunkRows: predictBenchChunkRows,
-		Stats: stats, Metrics: metrics,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	checked, err := bench.VerifyDeterminism()
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Printf("determinism: %d parallelism/chunk-size configurations bit-identical to the pointer baseline\n", checked)
-
-	sha, modified := gitRevision()
-	rep := predictBenchReport{
-		Workload: "fig4-f1", Tuples: n, Rounds: mc.benchRounds,
-		TreeDepth: tr.Depth(), TreeNodes: tr.NumNodes(), TreeLeaves: tr.NumLeaves(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		DeterminismConfigs: checked,
-		Config: benchProvenance{
-			Parallelism:   mc.para,
-			ScanChunkRows: predictBenchChunkRows,
-			Method:        m.Name(),
-			Seed:          mc.seed,
-			GoVersion:     runtime.Version(),
-			GitSHA:        sha,
-			GitModified:   modified,
-		},
-	}
-	byMode := map[predict.Mode]predict.Measurement{}
-	for _, mode := range []predict.Mode{
-		predict.ModeTuple, predict.ModeFlat, predict.ModeChunk, predict.ModeParallel,
-	} {
-		meas, err := bench.Measure(mode, mc.benchRounds)
-		if err != nil {
-			return fail(err)
-		}
-		rep.Modes = append(rep.Modes, meas)
-		byMode[mode] = meas
-		fmt.Printf("%-9s %12.0f tuples/sec  %10.6f allocs/tuple  %10.1f bytes/tuple\n",
-			meas.Mode, meas.TuplesPerSec, meas.AllocsPerTuple, meas.BytesPerTuple)
-	}
-	base := byMode[predict.ModeTuple].TuplesPerSec
-	if base > 0 {
-		rep.FlatSpeedupVsTuple = byMode[predict.ModeFlat].TuplesPerSec / base
-		rep.ChunkSpeedupVsTuple = byMode[predict.ModeChunk].TuplesPerSec / base
-		rep.ParallelSpeedupVsTuple = byMode[predict.ModeParallel].TuplesPerSec / base
-	}
-	rep.ChunkAllocsPerTuple = byMode[predict.ModeChunk].AllocsPerTuple
-	fmt.Printf("chunk vs tuple: %.2fx tuples/sec | flat vs tuple: %.2fx | parallel vs tuple: %.2fx\n",
-		rep.ChunkSpeedupVsTuple, rep.FlatSpeedupVsTuple, rep.ParallelSpeedupVsTuple)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(mc.predictJSON, append(out, '\n'), 0o644); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("wrote %s\n", mc.predictJSON)
 	return 0
 }

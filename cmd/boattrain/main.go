@@ -57,12 +57,12 @@ func main() {
 		update      = flag.String("update", "", "after building, insert this chunk file incrementally (boat only)")
 		quiet       = flag.Bool("quiet", false, "do not print the tree itself")
 		predictFile = flag.String("predict", "", "after building, classify this binary dataset file with the parallel batch predictor and log accuracy + throughput")
-		predBench   = flag.Int("predictbench", 0, "rounds of predict benchmarking (tuple vs flat vs chunk vs parallel) over the -predict file, or the training input if none")
-		traceOut    = flag.String("trace", "", "write the build lifecycle as Chrome trace-event JSON to this file (boat only)")
-		metricsOut  = flag.String("metricsjson", "", `write the build metrics registry as JSON to this file ("-" = stdout; boat only)`)
-		listen      = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the build ("" disables)`)
-		logJSON     = flag.Bool("logjson", false, "emit structured logs as JSON instead of text")
-		logLevel    = flag.String("loglevel", "info", "log level: debug | info | warn | error")
+
+		traceOut   = flag.String("trace", "", "write the build lifecycle as Chrome trace-event JSON to this file (boat only)")
+		metricsOut = flag.String("metricsjson", "", `write the build metrics registry as JSON to this file ("-" = stdout; boat only)`)
+		listen     = flag.String("listen", "", `diagnostics HTTP server address for /metrics and /debug/pprof during the build ("" disables)`)
+		logJSON    = flag.Bool("logjson", false, "emit structured logs as JSON instead of text")
+		logLevel   = flag.String("loglevel", "info", "log level: debug | info | warn | error")
 	)
 	flag.Parse()
 	logger, err := obs.NewLogger(os.Stderr, obs.LogConfig{JSON: *logJSON, Level: *logLevel})
@@ -192,61 +192,32 @@ func main() {
 		fatal(os.WriteFile(*save, raw, 0o644))
 		logger.Info("tree saved", "path", *save, "bytes", len(raw))
 	}
-	runPredict(logger, tr, src, *predictFile, *predBench, *parallelism, &st, tracer, metrics)
+	runPredict(logger, tr, *predictFile, *parallelism, &st, tracer, metrics)
 	writeObservability(logger, tracer, *traceOut, metrics, *metricsOut)
 }
 
-// runPredict serves the freshly built tree back over a dataset: -predict
-// classifies the file with the parallel batch predictor (accuracy against
-// the file's labels, throughput), and -predictbench times the four
-// classification modes against each other.
-func runPredict(logger *slog.Logger, tr *tree.Tree, trainSrc data.Source,
-	predictFile string, rounds, parallelism int,
+// runPredict serves the freshly built tree back over the -predict file
+// with the parallel batch predictor: accuracy against the file's labels,
+// and throughput.
+func runPredict(logger *slog.Logger, tr *tree.Tree, predictFile string, parallelism int,
 	st *iostats.Stats, tracer *obs.Tracer, metrics *obs.Registry) {
-	if predictFile == "" && rounds <= 0 {
+	if predictFile == "" {
 		return
 	}
-	src := trainSrc
-	if predictFile != "" {
-		fs, err := data.Open(predictFile)
-		fatal(err)
-		src = fs
-	}
-	cfg := predict.Config{
+	src, err := data.Open(predictFile)
+	fatal(err)
+	p, err := predict.New(tr, predict.Config{
 		Parallelism: parallelism, Compare: true,
 		Stats: st, Trace: tracer, Metrics: metrics,
-	}
-	if predictFile != "" {
-		p, err := predict.New(tr, cfg)
-		fatal(err)
-		res, err := p.Predict(src)
-		fatal(err)
-		logger.Info("prediction finished",
-			"tuples", res.Tuples, "chunks", res.Chunks,
-			"seconds", res.Seconds, "tuples_per_sec", res.TuplesPerSec,
-			"accuracy", res.Matrix.Accuracy(),
-			"misclassification_rate", res.Matrix.MisclassificationRate())
-	}
-	if rounds > 0 {
-		b, err := predict.NewBench(tr, src, cfg)
-		fatal(err)
-		var tupleRate float64
-		for _, mode := range []predict.Mode{
-			predict.ModeTuple, predict.ModeFlat, predict.ModeChunk, predict.ModeParallel,
-		} {
-			m, err := b.Measure(mode, rounds)
-			fatal(err)
-			speedup := 0.0
-			if mode == predict.ModeTuple {
-				tupleRate = m.TuplesPerSec
-			} else if tupleRate > 0 {
-				speedup = m.TuplesPerSec / tupleRate
-			}
-			logger.Info("predict bench", "mode", m.Mode, "rounds", m.Rounds,
-				"tuples_per_sec", m.TuplesPerSec, "allocs_per_tuple", m.AllocsPerTuple,
-				"speedup_vs_tuple", speedup)
-		}
-	}
+	})
+	fatal(err)
+	res, err := p.Predict(src)
+	fatal(err)
+	logger.Info("prediction finished",
+		"tuples", res.Tuples, "chunks", res.Chunks,
+		"seconds", res.Seconds, "tuples_per_sec", res.TuplesPerSec,
+		"accuracy", res.Matrix.Accuracy(),
+		"misclassification_rate", res.Matrix.MisclassificationRate())
 }
 
 // writeObservability flushes the trace and metrics dumps requested by

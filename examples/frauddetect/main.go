@@ -100,20 +100,14 @@ func mustChunk(cfg boat.SyntheticConfig, seed int64) []boat.Tuple {
 		log.Fatal(err)
 	}
 	var out []boat.Tuple
-	sc, err := src.Scan()
+	err = boat.ForEach(src, func(tp boat.Tuple) error {
+		out = append(out, tp.Clone())
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err != nil {
-			return out
-		}
-		for _, tp := range batch {
-			out = append(out, tp.Clone())
-		}
-	}
+	return out
 }
 
 func cloneAll(ts []boat.Tuple) []boat.Tuple {

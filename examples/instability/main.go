@@ -87,18 +87,12 @@ func sampleTree(seed int64, method boat.Method) *boat.DecisionTree {
 
 func readAll(src boat.Source) []boat.Tuple {
 	var out []boat.Tuple
-	sc, err := src.Scan()
+	err := boat.ForEach(src, func(tp boat.Tuple) error {
+		out = append(out, tp.Clone())
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err != nil {
-			return out
-		}
-		for _, tp := range batch {
-			out = append(out, tp.Clone())
-		}
-	}
+	return out
 }

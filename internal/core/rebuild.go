@@ -87,10 +87,10 @@ func gatherFamily(n *bnode, fam *data.TupleBag) error {
 		return nil
 	}
 	if n.isLeaf() {
-		return n.family.ForEach(fam.Add)
+		return fam.AddAll(n.family.Source())
 	}
 	if n.pending != nil && n.pending.Len() > 0 {
-		if err := n.pending.ForEach(fam.Add); err != nil {
+		if err := fam.AddAll(n.pending.Source()); err != nil {
 			return err
 		}
 	}

@@ -585,7 +585,7 @@ func (s *shardNode) merge() error {
 	if n.isLeaf() {
 		if s.family.Len() > 0 {
 			n.dirty = true
-			if err := s.family.ForEach(n.family.Add); err != nil {
+			if err := n.family.AddAll(s.family.Source()); err != nil {
 				s.family.Close()
 				return err
 			}
@@ -614,7 +614,7 @@ func (s *shardNode) merge() error {
 		}
 		n.eqLow += s.eqLow
 		if s.pending.Len() > 0 {
-			if err := s.pending.ForEach(n.pending.Add); err != nil {
+			if err := n.pending.AddAll(s.pending.Source()); err != nil {
 				s.pending.Close()
 				return err
 			}

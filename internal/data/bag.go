@@ -131,60 +131,50 @@ func (b *TupleBag) AddChunkRows(ch *Chunk, idx []int32) error {
 	if b.removed == 0 {
 		return b.add.AppendChunkRows(ch, idx)
 	}
-	n := ch.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	if n == 0 {
-		return nil
-	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	hashes := ch.HashRows(sc.hashes, idx)
-	sc.hashes = hashes
-	if cap(sc.row) < ch.Width() {
-		sc.row = make([]float64, ch.Width())
-	}
-	buf := sc.row[:ch.Width()]
-	t := Tuple{Values: buf}
-	if cap(sc.surv) < n {
-		sc.surv = make([]int32, 0, n)
-	}
-	surv := sc.surv[:0]
-	cancels := func(j, r int) bool {
-		if b.removed <= 0 {
-			return false
-		}
-		h := hashes[j]
-		if len(b.removals[h]) == 0 {
-			return false
-		}
-		ch.Gather(r, buf)
-		t.Class = ch.Class(r)
-		if consumeRemovalH(b.removals, h, t) {
-			b.removed--
-			return true
-		}
-		return false
-	}
-	if idx == nil {
-		for r := 0; r < n; r++ {
-			if !cancels(r, r) {
-				surv = append(surv, int32(r))
-			}
-		}
-	} else {
-		for j, r := range idx {
-			if !cancels(j, int(r)) {
-				surv = append(surv, r)
-			}
-		}
-	}
-	sc.surv = surv
+	surv := sc.survivors(ch, idx, b.removals, &b.removed)
 	if len(surv) == 0 {
 		return nil
 	}
 	return b.add.AppendChunkRows(ch, surv)
+}
+
+// survivors returns the rows of ch named by idx (all rows when idx is nil)
+// that cancel no pending removal, in order. Each cancelled row consumes
+// one matching entry of pending and decrements *left. The batch is hashed
+// column-wise once; only a row whose hash bucket is non-empty is gathered
+// and compared. The result aliases s.surv.
+func (s *batchScratch) survivors(ch *Chunk, idx []int32, pending map[uint64][]removalEntry, left *int64) []int32 {
+	s.hashes = ch.HashRows(s.hashes, idx)
+	if cap(s.row) < ch.Width() {
+		s.row = make([]float64, ch.Width())
+	}
+	t := Tuple{Values: s.row[:ch.Width()]}
+	s.surv = s.surv[:0]
+	for j, h := range s.hashes {
+		r := j
+		if idx != nil {
+			r = int(idx[j])
+		}
+		if *left > 0 && len(pending[h]) > 0 {
+			ch.Gather(r, t.Values)
+			t.Class = ch.Class(r)
+			if consumeRemovalH(pending, h, t) {
+				*left--
+				continue
+			}
+		}
+		s.surv = append(s.surv, int32(r))
+	}
+	return s.surv
+}
+
+// AddAll adds every tuple of src in scan order, exactly as Add on each
+// would, but chunk by chunk: rows are copied column-wise and never
+// materialized as tuples.
+func (b *TupleBag) AddAll(src Source) error {
+	return ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error { return b.AddChunkRows(ch, nil) })
 }
 
 // Remove queues the deletion of one occurrence of t. The occurrence must
@@ -253,70 +243,12 @@ func (b *TupleBag) RemoveChunkRows(ch *Chunk, idx []int32) error {
 
 // ForEach iterates the net content of the bag (additions minus removals).
 // Tuples passed to fn are only valid during the call.
-func (b *TupleBag) ForEach(fn func(Tuple) error) error {
-	var pending map[uint64][]removalEntry
-	left := b.removed
-	if left > 0 {
-		// Deep-copy the buckets (entries share tuple storage with the
-		// originals) because consumeRemoval mutates counts.
-		pending = make(map[uint64][]removalEntry, len(b.removals))
-		for h, bucket := range b.removals {
-			pending[h] = append([]removalEntry(nil), bucket...)
-		}
-	}
-	sc, err := b.add.Scan()
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, t := range batch {
-			if left > 0 && consumeRemoval(pending, t) {
-				left--
-				continue
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-	}
-	if left > 0 {
-		return fmt.Errorf("data: %d removal(s) did not match any tuple in the bag", left)
-	}
-	return nil
-}
+func (b *TupleBag) ForEach(fn func(Tuple) error) error { return ForEach(b.Source(), fn) }
 
 // Materialize returns deep copies of the bag's net content. The copies
-// share one backing array rather than paying one allocation per tuple.
-func (b *TupleBag) Materialize() ([]Tuple, error) {
-	width := len(b.Schema().Attributes)
-	n := b.Len()
-	if n < 0 {
-		n = 0
-	}
-	out := make([]Tuple, 0, n)
-	backing := make([]float64, 0, int(n)*width)
-	err := b.ForEach(func(t Tuple) error {
-		if cap(backing)-len(backing) < width {
-			backing = make([]float64, 0, max(width*DefaultBatchSize, width))
-		}
-		start := len(backing)
-		backing = append(backing, t.Values...)
-		out = append(out, Tuple{Values: backing[start:len(backing):len(backing)], Class: t.Class})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// share one backing array per chunk rather than paying one allocation per
+// tuple.
+func (b *TupleBag) Materialize() ([]Tuple, error) { return ReadAll(b.Source()) }
 
 // Compact rewrites the bag so pending removals are applied physically.
 // Call it when the removal backlog grows large.
@@ -325,7 +257,9 @@ func (b *TupleBag) Compact() error {
 		return nil
 	}
 	fresh := NewSpillBufferEnv(b.add.schema, b.add.env)
-	err := b.ForEach(fresh.Append)
+	err := ForEachChunk(b.Source(), DefaultChunkRows, func(ch *Chunk) error {
+		return fresh.AppendChunkRows(ch, nil)
+	})
 	if err != nil {
 		fresh.Close()
 		return err
@@ -367,15 +301,57 @@ type bagSource struct{ b *TupleBag }
 func (s *bagSource) Schema() *Schema      { return s.b.Schema() }
 func (s *bagSource) Count() (int64, bool) { return s.b.Len(), true }
 
-func (s *bagSource) Scan() (Scanner, error) {
-	// Bags with no pending removals can stream straight from the buffer;
-	// otherwise materialize through the removal filter.
-	if s.b.removed == 0 {
-		return s.b.add.Scan()
+// ScanChunks implements Source. A bag with no pending removals streams
+// straight from its spill buffer; otherwise the removals are subtracted
+// chunk by chunk, and one that matches no tuple fails the scan at its end.
+func (s *bagSource) ScanChunks() (ChunkScanner, error) {
+	inner, err := s.b.add.ScanChunks()
+	if err != nil || s.b.removed == 0 {
+		return inner, err
 	}
-	ts, err := s.b.Materialize()
-	if err != nil {
-		return nil, err
+	// Deep-copy the buckets (entries share tuple storage with the
+	// originals) because consumeRemovalH mutates counts.
+	pending := make(map[uint64][]removalEntry, len(s.b.removals))
+	for h, bucket := range s.b.removals {
+		pending[h] = append([]removalEntry(nil), bucket...)
 	}
-	return &memScanner{tuples: ts}, nil
+	return &bagChunkScanner{inner: inner, pending: pending, left: s.b.removed}, nil
 }
+
+// bagChunkScanner subtracts pending removals from a spill buffer scan,
+// one inner chunk at a time; the survivors are copied out with one
+// column-wise gather.
+type bagChunkScanner struct {
+	inner   ChunkScanner
+	pending map[uint64][]removalEntry
+	left    int64
+	buf     *Chunk
+	scratch batchScratch
+	keep    []int32 // surviving rows of buf not yet delivered
+}
+
+func (s *bagChunkScanner) NextChunk(dst *Chunk) error {
+	for len(s.keep) == 0 {
+		if s.buf == nil {
+			s.buf = NewChunk(dst.Width(), dst.Cap())
+		}
+		s.buf.Reset()
+		err := s.inner.NextChunk(s.buf)
+		if err == io.EOF {
+			if s.left > 0 {
+				return fmt.Errorf("data: %d removal(s) did not match any tuple in the bag", s.left)
+			}
+			return io.EOF
+		}
+		if err != nil {
+			return err
+		}
+		s.keep = s.scratch.survivors(s.buf, nil, s.pending, &s.left)
+	}
+	n := min(dst.Cap()-dst.Len(), len(s.keep))
+	dst.AppendGather(s.buf, s.keep[:n])
+	s.keep = s.keep[n:]
+	return nil
+}
+
+func (s *bagChunkScanner) Close() error { return s.inner.Close() }

@@ -181,3 +181,61 @@ func TestTupleBagMaterializeAndReset(t *testing.T) {
 		t.Errorf("Len after reset = %d", b.Len())
 	}
 }
+
+// TestTupleBagAddAllMatchesAdd: AddAll is Add on every tuple of the
+// source in order — same net content, same order, same leftover pending
+// removals — including cancellation against pending removals and a spill
+// split mid-chunk.
+func TestTupleBagAddAllMatchesAdd(t *testing.T) {
+	schema := twoAttrSchema(t)
+	src := make([]Tuple, 3000)
+	for i := range src {
+		src[i] = Tuple{Values: []float64{float64(i % 700), float64(i % 3)}, Class: i % 2}
+	}
+	fill := func() *TupleBag {
+		b := NewTupleBag(schema, t.TempDir(), NewMemBudget(1500), nil)
+		t.Cleanup(func() { b.Close() })
+		for _, tp := range src[:200] {
+			if err := b.Add(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Removals that the added tuples cancel, plus some they never meet.
+		for i := 0; i < 40; i++ {
+			if err := b.Remove(src[i*17]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Remove(Tuple{Values: []float64{-1, 0}, Class: 0}); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	one, all := fill(), fill()
+	for _, tp := range src {
+		if err := one.Add(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := all.AddAll(NewMemSource(schema, src)); err != nil {
+		t.Fatal(err)
+	}
+	if one.Len() != all.Len() || one.PendingRemovals() != all.PendingRemovals() {
+		t.Fatalf("AddAll: len %d pending %d, Add: len %d pending %d",
+			all.Len(), all.PendingRemovals(), one.Len(), one.PendingRemovals())
+	}
+	if one.PendingRemovals() != 1 {
+		t.Fatalf("pending removals = %d, want only the unmatched one", one.PendingRemovals())
+	}
+	// The unmatched removal makes every scan fail; compare the raw
+	// additions instead.
+	want, err := ReadAll(one.add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(all.add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTuples(t, "AddAll", got, want)
+}

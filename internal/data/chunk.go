@@ -410,75 +410,20 @@ type ChunkScanner interface {
 	Close() error
 }
 
-// ChunkedSource is implemented by sources with a native columnar scan
-// path (decoding or generating straight into chunk columns). Sources
-// without one are adapted from their row Scanner by ScanChunks.
-type ChunkedSource interface {
-	Source
-	ScanChunks() (ChunkScanner, error)
-}
-
-// ScanChunks begins a chunked scan over src: the source's native columnar
-// scan when it implements ChunkedSource, otherwise an adapter that packs
-// the row Scanner's batches into the destination chunks.
-func ScanChunks(src Source) (ChunkScanner, error) {
-	if cs, ok := src.(ChunkedSource); ok {
-		return cs.ScanChunks()
-	}
-	sc, err := src.Scan()
-	if err != nil {
-		return nil, err
-	}
-	return &rowChunkScanner{sc: sc}, nil
-}
-
-// rowChunkScanner adapts a row Scanner to the chunked interface.
-type rowChunkScanner struct {
-	sc    Scanner
-	batch []Tuple
-	pos   int
-	done  bool
-}
-
-func (s *rowChunkScanner) NextChunk(dst *Chunk) error {
-	filled := false
-	for !dst.Full() {
-		if s.pos >= len(s.batch) {
-			if s.done {
-				break
-			}
-			batch, err := s.sc.Next()
-			if err == io.EOF {
-				s.done = true
-				break
-			}
-			if err != nil {
-				return err
-			}
-			s.batch, s.pos = batch, 0
-			continue
-		}
-		dst.AppendTuple(s.batch[s.pos])
-		s.pos++
-		filled = true
-	}
-	if !filled && dst.Len() == 0 {
-		return io.EOF
-	}
-	return nil
-}
-
-func (s *rowChunkScanner) Close() error { return s.sc.Close() }
-
 // ForEachChunk scans src once in chunks of the given row capacity,
 // invoking fn for every non-empty chunk. The chunk (and its columns) is
-// only valid during the call; it is reused between invocations.
+// only valid during the call; it is reused between invocations. A source
+// that knows it holds fewer rows gets a chunk of just that capacity, so
+// iterating a small bag does not allocate a full-size chunk.
 func ForEachChunk(src Source, rows int, fn func(*Chunk) error) error {
-	sc, err := ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
+	if n, ok := src.Count(); ok && n < int64(rows) {
+		rows = int(n)
+	}
 	ch := NewChunk(len(src.Schema().Attributes), rows)
 	for {
 		ch.Reset()

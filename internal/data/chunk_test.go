@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -88,60 +87,6 @@ func requireSameTuples(t *testing.T, label string, got, want []Tuple) {
 		}
 	}
 }
-
-// TestScanChunksEquivalence: for every source kind (in-memory with its
-// native transposing scan, file sources in both formats with their direct
-// columnar decoder, and a row-only source through the adapter), a chunked
-// scan at any chunk size yields exactly the row scan's tuples in order.
-func TestScanChunksEquivalence(t *testing.T) {
-	schema := twoAttrSchema(t)
-	tuples := makeTuples(2*DefaultBatchSize + 37)
-	mem := NewMemSource(schema, tuples)
-	want, err := ReadAll(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sources := map[string]Source{
-		"mem":     mem,
-		"rowOnly": rowOnlySource{mem},
-	}
-	dir := t.TempDir()
-	for _, f := range []Format{FormatWide, FormatCompact} {
-		path := filepath.Join(dir, fmt.Sprintf("d%d.bin", f))
-		if _, err := WriteFile(path, mem, f); err != nil {
-			t.Fatal(err)
-		}
-		fs, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources[fmt.Sprintf("file-format%d", f)] = fs
-	}
-
-	for name, src := range sources {
-		for _, rows := range []int{1, 7, 64, DefaultChunkRows} {
-			t.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(t *testing.T) {
-				got := collectChunks(t, src, rows)
-				wantHere := want
-				if name == "file-format1" {
-					// The compact format stores float32 values; compare
-					// against the round-tripped row scan instead.
-					wantHere, _ = ReadAll(src)
-				}
-				requireSameTuples(t, name, got, wantHere)
-			})
-		}
-	}
-}
-
-// rowOnlySource hides MemSource's native chunked scan, forcing the
-// rowChunkScanner adapter.
-type rowOnlySource struct{ inner *MemSource }
-
-func (r rowOnlySource) Schema() *Schema        { return r.inner.Schema() }
-func (r rowOnlySource) Scan() (Scanner, error) { return r.inner.Scan() }
-func (r rowOnlySource) Count() (int64, bool)   { return r.inner.Count() }
 
 func TestChunkPoolRecycles(t *testing.T) {
 	p := NewChunkPool(2, 8)

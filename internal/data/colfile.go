@@ -730,23 +730,7 @@ func (s *ColSource) Schema() *Schema { return s.schema }
 // Count implements Source.
 func (s *ColSource) Count() (int64, bool) { return s.count, true }
 
-// Scan implements Source by adapting the chunked scan to row batches.
-func (s *ColSource) Scan() (Scanner, error) {
-	cs, err := s.ScanChunks()
-	if err != nil {
-		return nil, err
-	}
-	arity := len(s.schema.Attributes)
-	sc := &colRowScanner{cs: cs, ch: NewChunk(arity, DefaultBatchSize)}
-	sc.batch = make([]Tuple, DefaultBatchSize)
-	backing := make([]float64, DefaultBatchSize*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = backing[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
-
-// ScanChunks implements ChunkedSource using the source's configured
+// ScanChunks implements Source using the source's configured
 // pipeline (asynchronous prefetch + parallel decode by default).
 func (s *ColSource) ScanChunks() (ChunkScanner, error) {
 	return s.ScanChunksPipeline(s.pipe)
@@ -794,15 +778,18 @@ func (s *ColSource) openBlockReader() (*blockReader, error) {
 		remBlocks: s.blocks,
 		remBytes:  s.dataLen,
 	}
+	// A file smaller than the 1 MiB read buffer gets a buffer of its own
+	// size, so a pass over a small file does not allocate 1 MiB.
+	bufSize := int(min(1<<20, s.headerLen+s.dataLen))
 	if sk, ok := rc.(io.Seeker); ok {
 		if _, err := sk.Seek(s.headerLen, io.SeekStart); err != nil {
 			rc.Close()
 			return nil, err
 		}
-		br.r = bufio.NewReaderSize(rc, 1<<20)
+		br.r = bufio.NewReaderSize(rc, bufSize)
 		return br, nil
 	}
-	br.r = bufio.NewReaderSize(rc, 1<<20)
+	br.r = bufio.NewReaderSize(rc, bufSize)
 	if err := br.discard(s.headerLen); err != nil {
 		br.Close()
 		return nil, err
@@ -996,32 +983,7 @@ func (s *colChunkScanner) PhysicalBytesRead() int64 { return s.br.PhysicalBytesR
 func (s *colChunkScanner) Close() error { return s.br.Close() }
 
 // ---------------------------------------------------------------------------
-// Row adapter and format sniffing
-
-// colRowScanner adapts the chunked scan to the row Scanner interface.
-type colRowScanner struct {
-	cs    ChunkScanner
-	ch    *Chunk
-	batch []Tuple
-}
-
-func (s *colRowScanner) Next() ([]Tuple, error) {
-	s.ch.Reset()
-	if err := s.cs.NextChunk(s.ch); err != nil {
-		return nil, err
-	}
-	n := s.ch.Len()
-	if n == 0 {
-		return nil, io.EOF
-	}
-	for r := 0; r < n; r++ {
-		s.ch.Gather(r, s.batch[r].Values)
-		s.batch[r].Class = s.ch.Class(r)
-	}
-	return s.batch[:n], nil
-}
-
-func (s *colRowScanner) Close() error { return s.cs.Close() }
+// Format sniffing
 
 // Open opens a dataset file of either on-disk format, sniffing the magic:
 // row-major files (FileSource) and columnar block files (ColSource).

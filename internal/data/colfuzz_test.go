@@ -37,8 +37,11 @@ func colFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		return raw
 	}
-	v2 := write("v2.boatc", 300, 64)
-	seeds := [][]byte{v2, write("one-block.boatc", 300, 512), write("tiny.boatc", 1, 8)}
+	// Small files keep every input short: the fuzzer spends up to
+	// -fuzzminimizetime shrinking each input that finds new coverage, in
+	// time that grows with the square of the input's length.
+	v2 := write("v2.boatc", 40, 16)
+	seeds := [][]byte{v2, write("one-block.boatc", 40, 64), write("tiny.boatc", 1, 8)}
 	// Torn variants: cut mid-header, mid-block, mid-index, mid-footer.
 	for _, cut := range []int{4, 40, len(v2) / 2, len(v2) - 40, len(v2) - 9, len(v2) - 1} {
 		if cut > 0 && cut < len(v2) {
@@ -53,7 +56,10 @@ func colFuzzSeeds(tb testing.TB) [][]byte {
 			seeds = append(seeds, flipped)
 		}
 	}
-	seeds = append(seeds, []byte(colMagic), []byte("BOATCOLFxxxxxx"), nil)
+	// A retired version-1 header, rejected at open.
+	v1 := append([]byte(nil), v2...)
+	v1[len(colMagic)] = 1
+	seeds = append(seeds, v1, []byte(colMagic), []byte("BOATCOLFxxxxxx"), nil)
 	return seeds
 }
 
@@ -96,11 +102,13 @@ func FuzzColFileOpen(f *testing.F) {
 	for _, s := range colFuzzSeeds(f) {
 		f.Add(s)
 	}
+	// One file per fuzz process, rewritten by every input: a fresh temp
+	// directory per input costs more than the whole open-and-scan.
+	path := filepath.Join(f.TempDir(), "fuzz.boatc")
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<20 {
 			return
 		}
-		path := filepath.Join(t.TempDir(), "fuzz.boatc")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Skip(err)
 		}

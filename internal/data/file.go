@@ -268,7 +268,7 @@ func WriteFile(path string, src Source, format Format) (int64, error) {
 // FileSource
 
 // FileSource is a Source backed by a dataset file created by FileWriter.
-// Every Scan opens a fresh sequential pass over the file.
+// Every scan opens a fresh sequential pass over the file.
 type FileSource struct {
 	path      string
 	format    Format
@@ -332,28 +332,7 @@ func (fs *FileSource) SizeBytes() int64 {
 	return fs.count * int64(fs.format.TupleSize(fs.schema))
 }
 
-// Scan implements Source.
-func (fs *FileSource) Scan() (Scanner, error) {
-	f, err := os.Open(fs.path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(fs.headerLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	sc := &fileScanner{
-		c:         f,
-		r:         bufio.NewReaderSize(f, 1<<18),
-		format:    fs.format,
-		tupleSize: fs.format.TupleSize(fs.schema),
-		remaining: fs.count,
-	}
-	sc.alloc(len(fs.schema.Attributes))
-	return sc, nil
-}
-
-// ScanChunks implements ChunkedSource: records are decoded from the raw
+// ScanChunks implements Source: records are decoded from the raw
 // byte stream directly into the destination chunk's columns, never
 // materializing row-major Tuples at all.
 func (fs *FileSource) ScanChunks() (ChunkScanner, error) {
@@ -375,6 +354,9 @@ func (fs *FileSource) ScanChunks() (ChunkScanner, error) {
 }
 
 // fileChunkScanner decodes fixed-size records straight into chunk columns.
+// c, when non-nil, is closed with the scanner (the underlying file
+// handle); the spill path also feeds it stitched readers (durable file
+// prefix plus the in-memory write buffer), which own no handle.
 type fileChunkScanner struct {
 	c         io.Closer
 	r         *bufio.Reader
@@ -454,56 +436,4 @@ func encodeChunkRow(buf []byte, f Format, c *Chunk, r int) []byte {
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, uint32(c.class[r]))
-}
-
-// fileScanner decodes fixed-size tuple records from a byte stream. c, when
-// non-nil, is closed with the scanner (the underlying file handle); the
-// spill path also feeds it stitched readers (durable file prefix plus the
-// in-memory write buffer), which own no handle.
-type fileScanner struct {
-	c         io.Closer
-	r         *bufio.Reader
-	format    Format
-	tupleSize int
-	remaining int64
-	batch     []Tuple
-	raw       []byte
-}
-
-func (s *fileScanner) alloc(arity int) {
-	n := DefaultBatchSize
-	s.batch = make([]Tuple, n)
-	values := make([]float64, n*arity)
-	for i := range s.batch {
-		s.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	s.raw = make([]byte, n*s.tupleSize)
-}
-
-func (s *fileScanner) Next() ([]Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	raw := s.raw[:int(n)*s.tupleSize]
-	if _, err := io.ReadFull(s.r, raw); err != nil {
-		return nil, fmt.Errorf("data: scan read: %w", err)
-	}
-	for i := int64(0); i < n; i++ {
-		decodeTuple(raw[int(i)*s.tupleSize:], s.format, &s.batch[i])
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
-}
-
-func (s *fileScanner) Close() error {
-	if s.c == nil {
-		return nil
-	}
-	err := s.c.Close()
-	s.c = nil
-	return err
 }

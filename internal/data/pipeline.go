@@ -128,7 +128,7 @@ type PhysicalReader interface {
 // PipelinedChunkSource is implemented by sources whose chunked scan can
 // run behind an explicit pipeline configuration.
 type PipelinedChunkSource interface {
-	ChunkedSource
+	Source
 	ScanChunksPipeline(cfg PipelineConfig) (ChunkScanner, error)
 }
 
@@ -140,7 +140,7 @@ func ScanChunksPipelined(src Source, cfg PipelineConfig) (ChunkScanner, error) {
 	if ps, ok := src.(PipelinedChunkSource); ok {
 		return ps.ScanChunksPipeline(cfg)
 	}
-	return ScanChunks(src)
+	return src.ScanChunks()
 }
 
 // pipeJob is a raw block travelling from the reader to a decode worker.

@@ -6,30 +6,18 @@ import (
 	"sync"
 )
 
-// Scanner iterates a dataset sequentially in batches. The tuples returned
-// by Next (including their Values slices) are only valid until the
-// following Next call; callers that retain tuples must Clone them.
-// Next returns (nil, io.EOF) once the scan is exhausted.
-type Scanner interface {
-	Next() ([]Tuple, error)
-	Close() error
-}
-
 // Source is a scannable training database. A Source may be scanned any
-// number of times; each Scan starts a fresh sequential pass, modeling one
-// scan over the training database D in the paper's cost accounting.
+// number of times; each ScanChunks starts a fresh sequential pass,
+// modeling one scan over the training database D in the paper's cost
+// accounting.
 type Source interface {
 	// Schema describes the tuples produced by this source.
 	Schema() *Schema
-	// Scan begins a new sequential scan.
-	Scan() (Scanner, error)
 	// Count returns the number of tuples if known without scanning.
 	Count() (n int64, known bool)
+	// ScanChunks begins a new sequential scan delivering columnar chunks.
+	ScanChunks() (ChunkScanner, error)
 }
-
-// DefaultBatchSize is the number of tuples per Scanner batch used by the
-// built-in sources.
-const DefaultBatchSize = 1024
 
 // ---------------------------------------------------------------------------
 // In-memory source
@@ -59,12 +47,7 @@ func (m *MemSource) Count() (int64, bool) { return int64(len(m.tuples)), true }
 // Tuples exposes the backing slice (read-only by convention).
 func (m *MemSource) Tuples() []Tuple { return m.tuples }
 
-// Scan implements Source.
-func (m *MemSource) Scan() (Scanner, error) {
-	return &memScanner{tuples: m.tuples}, nil
-}
-
-// ScanChunks implements ChunkedSource: chunks are served by column-wise
+// ScanChunks implements Source: chunks are served by column-wise
 // copies from a columnar mirror of the tuple slice. The mirror is
 // transposed once, on the first chunked scan, and amortized across every
 // later pass (a build scans the source at least twice: sampling and
@@ -101,73 +84,78 @@ func (s *memChunkScanner) NextChunk(dst *Chunk) error {
 
 func (s *memChunkScanner) Close() error { return nil }
 
-type memScanner struct {
-	tuples []Tuple
-	pos    int
+// ---------------------------------------------------------------------------
+// Generated sources
+
+// GenerateChunks returns a ChunkScanner over n generated rows: next
+// writes one row's values into vals (of the given width) and returns its
+// class. Rows are produced strictly in order, so a generator drawing from
+// one seeded stream yields the same tuples at every chunk size.
+func GenerateChunks(width int, n int64, next func(vals []float64) int) ChunkScanner {
+	return &genChunkScanner{next: next, row: make([]float64, width), remaining: n}
 }
 
-func (s *memScanner) Next() ([]Tuple, error) {
-	if s.pos >= len(s.tuples) {
-		return nil, io.EOF
-	}
-	end := s.pos + DefaultBatchSize
-	if end > len(s.tuples) {
-		end = len(s.tuples)
-	}
-	batch := s.tuples[s.pos:end]
-	s.pos = end
-	return batch, nil
+type genChunkScanner struct {
+	next      func([]float64) int
+	row       []float64
+	remaining int64
 }
 
-func (s *memScanner) Close() error { return nil }
+func (s *genChunkScanner) NextChunk(dst *Chunk) error {
+	if s.remaining == 0 {
+		return io.EOF
+	}
+	for ; s.remaining > 0 && !dst.Full(); s.remaining-- {
+		class := s.next(s.row)
+		dst.AppendRow(s.row, class)
+	}
+	return nil
+}
+
+func (s *genChunkScanner) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Helpers
 
 // ForEach scans src once, invoking fn for every tuple. The tuple passed to
-// fn is only valid during the call.
+// fn is one reused buffer, gathered from the scan's chunk: it is only
+// valid during the call.
 func ForEach(src Source, fn func(Tuple) error) error {
-	sc, err := src.Scan()
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			return sc.Close()
-		}
-		if err != nil {
-			sc.Close()
-			return err
-		}
-		for _, t := range batch {
+	t := Tuple{Values: make([]float64, len(src.Schema().Attributes))}
+	return ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error {
+		for r := 0; r < ch.Len(); r++ {
+			ch.Gather(r, t.Values)
+			t.Class = ch.Class(r)
 			if err := fn(t); err != nil {
-				sc.Close()
 				return err
 			}
 		}
-	}
+		return nil
+	})
 }
 
-// ReadAll scans src once and returns deep copies of all tuples. The
-// copies share one backing array per batch of rows rather than paying one
-// allocation per tuple.
+// ReadAll scans src once and returns deep copies of all tuples. When the
+// count is known up front the copies share one backing array; otherwise
+// they share one per chunk. Either way no tuple pays its own allocation.
 func ReadAll(src Source) ([]Tuple, error) {
-	var out []Tuple
 	width := len(src.Schema().Attributes)
+	var out []Tuple
 	var backing []float64
-	if n, ok := src.Count(); ok {
+	if n, ok := src.Count(); ok && n > 0 {
 		out = make([]Tuple, 0, n)
-		backing = make([]float64, 0, int(n)*width)
+		backing = make([]float64, int(n)*width)
 	}
-	err := ForEach(src, func(t Tuple) error {
-		if cap(backing)-len(backing) < width {
-			backing = make([]float64, 0, max(width*DefaultBatchSize, width))
+	err := ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error {
+		if len(backing) < ch.Len()*width {
+			out = append(out, ch.GatherRows(nil)...)
+			return nil
 		}
-		start := len(backing)
-		backing = append(backing, t.Values...)
-		out = append(out, Tuple{Values: backing[start:len(backing):len(backing)], Class: t.Class})
+		for r := 0; r < ch.Len(); r++ {
+			vals := backing[:width:width]
+			backing = backing[width:]
+			ch.Gather(r, vals)
+			out = append(out, Tuple{Values: vals, Class: ch.Class(r)})
+		}
 		return nil
 	})
 	if err != nil {
@@ -182,7 +170,7 @@ func CountTuples(src Source) (int64, error) {
 		return n, nil
 	}
 	var n int64
-	err := ForEach(src, func(Tuple) error { n++; return nil })
+	err := ForEachChunk(src, DefaultChunkRows, func(ch *Chunk) error { n += int64(ch.Len()); return nil })
 	return n, err
 }
 
@@ -230,43 +218,44 @@ func (c *ConcatSource) Count() (int64, bool) {
 	return total, true
 }
 
-// Scan implements Source.
-func (c *ConcatSource) Scan() (Scanner, error) {
-	return &concatScanner{parts: c.parts}, nil
+// ScanChunks implements Source: the parts are scanned back to back, each
+// with its own native chunk scan. A chunk never spans two parts.
+func (c *ConcatSource) ScanChunks() (ChunkScanner, error) {
+	return &concatChunkScanner{parts: c.parts}, nil
 }
 
-type concatScanner struct {
+type concatChunkScanner struct {
 	parts []Source
 	idx   int
-	cur   Scanner
+	cur   ChunkScanner
 }
 
-func (s *concatScanner) Next() ([]Tuple, error) {
+func (s *concatChunkScanner) NextChunk(dst *Chunk) error {
 	for {
 		if s.cur == nil {
 			if s.idx >= len(s.parts) {
-				return nil, io.EOF
+				return io.EOF
 			}
-			cur, err := s.parts[s.idx].Scan()
+			cur, err := s.parts[s.idx].ScanChunks()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.cur = cur
 			s.idx++
 		}
-		batch, err := s.cur.Next()
+		err := s.cur.NextChunk(dst)
 		if err == io.EOF {
 			if cerr := s.cur.Close(); cerr != nil {
-				return nil, cerr
+				return cerr
 			}
 			s.cur = nil
 			continue
 		}
-		return batch, err
+		return err
 	}
 }
 
-func (s *concatScanner) Close() error {
+func (s *concatChunkScanner) Close() error {
 	if s.cur != nil {
 		err := s.cur.Close()
 		s.cur = nil

@@ -16,7 +16,7 @@ func makeTuples(n int) []Tuple {
 
 func TestMemSourceScan(t *testing.T) {
 	s := twoAttrSchema(t)
-	for _, n := range []int{0, 1, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1, 3000} {
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 3000, DefaultChunkRows - 1, DefaultChunkRows, DefaultChunkRows + 1} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			src := NewMemSource(s, makeTuples(n))
 			if c, ok := src.Count(); !ok || c != int64(n) {
@@ -125,6 +125,6 @@ func TestCountTuplesScansWhenUnknown(t *testing.T) {
 // unknownCountSource hides its count to exercise the scanning fallback.
 type unknownCountSource struct{ inner Source }
 
-func (u *unknownCountSource) Schema() *Schema        { return u.inner.Schema() }
-func (u *unknownCountSource) Count() (int64, bool)   { return 0, false }
-func (u *unknownCountSource) Scan() (Scanner, error) { return u.inner.Scan() }
+func (u *unknownCountSource) Schema() *Schema                   { return u.inner.Schema() }
+func (u *unknownCountSource) Count() (int64, bool)              { return 0, false }
+func (u *unknownCountSource) ScanChunks() (ChunkScanner, error) { return u.inner.ScanChunks() }

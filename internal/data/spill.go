@@ -262,8 +262,7 @@ type SpillBuffer struct {
 	// no per-tuple Tuple struct or Values header is kept, so the garbage
 	// collector never scans the buffer and appends issue no write
 	// barriers. Chunks fill sequentially (every chunk before the active
-	// one is full) and batch appends copy column-wise; Tuple views are
-	// materialized only when a row scan asks for them.
+	// one is full); batch appends and scans copy column-wise.
 	memChunks []*Chunk
 	active    int // index of the chunk receiving appends
 	memN      int // in-memory row count
@@ -478,16 +477,17 @@ func (sb *SpillBuffer) spillEncoded() {
 	sb.spilled++
 }
 
-// Scan implements Source: iterates the in-memory part then the spilled
-// part. The buffer must not be appended to while a scan is open. Scans
-// never require a flush — they read the durable file prefix and replay the
+// ScanChunks implements Source: the in-memory chunks are copied
+// column-wise, then the spilled part is decoded from the overflow path.
+// The buffer must not be appended to while a scan is open. Scans never
+// require a flush — they read the durable file prefix and replay the
 // write buffer — so even a poisoned buffer yields its complete, correctly
 // aligned contents.
-func (sb *SpillBuffer) Scan() (Scanner, error) {
+func (sb *SpillBuffer) ScanChunks() (ChunkScanner, error) {
 	if sb.closed {
 		return nil, errors.New("data: scan of closed spill buffer")
 	}
-	var fsc *fileScanner
+	sc := &spillChunkScanner{mem: sb.memChunks}
 	if sb.w != nil && sb.spilled > 0 {
 		var parts []io.Reader
 		var closer io.Closer
@@ -507,80 +507,47 @@ func (sb *SpillBuffer) Scan() (Scanner, error) {
 		if len(sb.w.buf) > 0 {
 			parts = append(parts, bytes.NewReader(sb.w.buf))
 		}
-		fsc = &fileScanner{
+		sc.file = &fileChunkScanner{
 			c:         closer,
 			r:         bufio.NewReaderSize(io.MultiReader(parts...), 1<<18),
 			format:    FormatWide,
 			tupleSize: FormatWide.TupleSize(sb.schema),
 			remaining: sb.spilled,
 		}
-		fsc.alloc(len(sb.schema.Attributes))
 	}
-	return &spillScanner{mem: &spillMemScanner{sb: sb}, file: fsc}, nil
+	return sc, nil
 }
 
-// spillMemScanner materializes row-major Tuple batches over the columnar
-// in-memory chunks on demand, one storage chunk per Next.
-type spillMemScanner struct {
-	sb *SpillBuffer
-	ci int
+// spillChunkScanner fills each destination chunk from the in-memory storage
+// chunks first and the overflow decoder after them.
+type spillChunkScanner struct {
+	mem  []*Chunk // storage chunks not yet fully delivered
+	pos  int      // rows of mem[0] already delivered
+	file *fileChunkScanner
 }
 
-func (s *spillMemScanner) Next() ([]Tuple, error) {
-	for s.ci < len(s.sb.memChunks) {
-		c := s.sb.memChunks[s.ci]
-		s.ci++
-		if c.Len() == 0 {
-			continue
+func (s *spillChunkScanner) NextChunk(dst *Chunk) error {
+	start := dst.Len()
+	for len(s.mem) > 0 && !dst.Full() {
+		c := s.mem[0]
+		n := min(dst.Cap()-dst.Len(), c.Len()-s.pos)
+		dst.AppendFrom(c, s.pos, n)
+		if s.pos += n; s.pos >= c.Len() {
+			s.mem, s.pos = s.mem[1:], 0
 		}
-		width := len(s.sb.schema.Attributes)
-		views := make([]Tuple, c.Len())
-		backing := make([]float64, c.Len()*width)
-		for a := 0; a < width; a++ {
-			for r, v := range c.Col(a) {
-				backing[r*width+a] = v
-			}
-		}
-		for r := range views {
-			views[r] = Tuple{
-				Values: backing[r*width : (r+1)*width : (r+1)*width],
-				Class:  c.Class(r),
-			}
-		}
-		return views, nil
 	}
-	return nil, io.EOF
-}
-
-func (s *spillMemScanner) Close() error { return nil }
-
-type spillScanner struct {
-	mem  *spillMemScanner
-	file *fileScanner
-}
-
-func (s *spillScanner) Next() ([]Tuple, error) {
-	if s.mem != nil {
-		batch, err := s.mem.Next()
-		if err == nil {
-			return batch, nil
+	if len(s.mem) == 0 && !dst.Full() && s.file != nil {
+		if err := s.file.NextChunk(dst); err != nil && err != io.EOF {
+			return &SpillError{Op: "scan", Err: err}
 		}
-		if err != io.EOF {
-			return nil, err
-		}
-		s.mem = nil
 	}
-	if s.file != nil {
-		batch, err := s.file.Next()
-		if err != nil && err != io.EOF {
-			return nil, &SpillError{Op: "scan", Err: err}
-		}
-		return batch, err
+	if dst.Len() == start {
+		return io.EOF
 	}
-	return nil, io.EOF
+	return nil
 }
 
-func (s *spillScanner) Close() error {
+func (s *spillChunkScanner) Close() error {
 	if s.file != nil {
 		err := s.file.Close()
 		s.file = nil

@@ -249,7 +249,7 @@ func TestSpillBufferClosedOps(t *testing.T) {
 	if err := sb.Append(Tuple{Values: []float64{1, 2}, Class: 0}); err == nil {
 		t.Error("append to closed buffer should error")
 	}
-	if _, err := sb.Scan(); err == nil {
+	if _, err := sb.ScanChunks(); err == nil {
 		t.Error("scan of closed buffer should error")
 	}
 	if err := sb.Close(); err != nil {

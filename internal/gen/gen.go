@@ -17,7 +17,6 @@ package gen
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
@@ -280,47 +279,19 @@ func (s *Source) Count() (int64, bool) { return s.n, true }
 // Config returns the generator configuration.
 func (s *Source) Config() Config { return s.cfg }
 
-// Scan implements data.Source.
-func (s *Source) Scan() (data.Scanner, error) {
-	sc := &genScanner{
-		cfg:       s.cfg,
-		rng:       rand.New(rand.NewSource(s.seed)),
-		remaining: s.n,
-	}
-	arity := len(s.schema.Attributes)
-	sc.batch = make([]data.Tuple, data.DefaultBatchSize)
-	values := make([]float64, len(sc.batch)*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
-
-type genScanner struct {
-	cfg       Config
-	rng       *rand.Rand
-	remaining int64
-	batch     []data.Tuple
-}
-
-func (s *genScanner) Next() ([]data.Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	for i := int64(0); i < n; i++ {
-		t := &s.batch[i]
-		fillPredictors(s.rng, t.Values)
-		t.Class = Label(s.cfg, *t)
-		if s.cfg.Noise > 0 && s.rng.Float64() < s.cfg.Noise {
-			t.Class = 1 - t.Class
+// ScanChunks implements data.Source: each scan replays the generator from
+// its seed, writing rows straight into the chunk columns.
+func (s *Source) ScanChunks() (data.ChunkScanner, error) {
+	cfg := s.cfg
+	rng := rand.New(rand.NewSource(s.seed))
+	t := data.Tuple{}
+	return data.GenerateChunks(len(s.schema.Attributes), s.n, func(vals []float64) int {
+		fillPredictors(rng, vals)
+		t.Values = vals
+		class := Label(cfg, t)
+		if cfg.Noise > 0 && rng.Float64() < cfg.Noise {
+			class = 1 - class
 		}
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
+		return class
+	}), nil
 }
-
-func (s *genScanner) Close() error { return nil }

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"io"
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
@@ -42,36 +41,14 @@ func (s *InstabilityDS) Schema() *data.Schema { return s.schema }
 // Count implements data.Source.
 func (s *InstabilityDS) Count() (int64, bool) { return s.n, true }
 
-// Scan implements data.Source.
-func (s *InstabilityDS) Scan() (data.Scanner, error) {
-	sc := &instScanner{rng: rand.New(rand.NewSource(s.seed)), remaining: s.n}
-	sc.batch = make([]data.Tuple, data.DefaultBatchSize)
-	values := make([]float64, len(sc.batch)*2)
-	for i := range sc.batch {
-		sc.batch[i].Values = values[i*2 : (i+1)*2]
-	}
-	return sc, nil
-}
-
-type instScanner struct {
-	rng       *rand.Rand
-	remaining int64
-	batch     []data.Tuple
-}
-
-func (s *instScanner) Next() ([]data.Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	for i := int64(0); i < n; i++ {
-		t := &s.batch[i]
-		x := float64(s.rng.Intn(81))
-		t.Values[0] = x
-		t.Values[1] = float64(s.rng.Intn(1000))
+// ScanChunks implements data.Source: each scan replays the generator from
+// its seed.
+func (s *InstabilityDS) ScanChunks() (data.ChunkScanner, error) {
+	rng := rand.New(rand.NewSource(s.seed))
+	return data.GenerateChunks(2, s.n, func(vals []float64) int {
+		x := float64(rng.Intn(81))
+		vals[0] = x
+		vals[1] = float64(rng.Intn(1000))
 		var pA float64
 		switch {
 		case x <= 19:
@@ -81,14 +58,9 @@ func (s *instScanner) Next() ([]data.Tuple, error) {
 		default:
 			pA = 0.1
 		}
-		if s.rng.Float64() < pA {
-			t.Class = GroupA
-		} else {
-			t.Class = GroupB
+		if rng.Float64() < pA {
+			return GroupA
 		}
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
+		return GroupB
+	}), nil
 }
-
-func (s *instScanner) Close() error { return nil }

@@ -31,13 +31,6 @@ type Stats struct {
 	spillErrors   atomic.Int64
 	scanFallbacks atomic.Int64
 	scanRetries   atomic.Int64
-
-	// Heap-allocation accounting (runtime.MemStats deltas recorded by the
-	// benchmark harnesses around a measured region). Divided by TuplesRead
-	// they yield allocs/tuple and bytes/tuple, the steady-state-allocation
-	// metric of the columnar scan path.
-	allocObjects atomic.Int64
-	allocBytes   atomic.Int64
 }
 
 // RecordScan notes the start of one sequential scan over a tracked source.
@@ -105,15 +98,6 @@ func (s *Stats) RecordScanRetry() {
 	}
 }
 
-// RecordAllocs notes heap allocations (object and byte counts) attributed
-// to a measured region.
-func (s *Stats) RecordAllocs(objects, bytes int64) {
-	if s != nil {
-		s.allocObjects.Add(objects)
-		s.allocBytes.Add(bytes)
-	}
-}
-
 // Scans returns the number of scans started.
 func (s *Stats) Scans() int64 { return s.scans.Load() }
 
@@ -146,12 +130,6 @@ func (s *Stats) ScanFallbacks() int64 { return s.scanFallbacks.Load() }
 // ScanRetries returns the cleanup scans restarted after storage faults.
 func (s *Stats) ScanRetries() int64 { return s.scanRetries.Load() }
 
-// AllocObjects returns the recorded heap allocation count.
-func (s *Stats) AllocObjects() int64 { return s.allocObjects.Load() }
-
-// AllocBytes returns the recorded heap allocation bytes.
-func (s *Stats) AllocBytes() int64 { return s.allocBytes.Load() }
-
 // Reset zeroes all counters.
 func (s *Stats) Reset() {
 	s.scans.Store(0)
@@ -164,8 +142,6 @@ func (s *Stats) Reset() {
 	s.spillErrors.Store(0)
 	s.scanFallbacks.Store(0)
 	s.scanRetries.Store(0)
-	s.allocObjects.Store(0)
-	s.allocBytes.Store(0)
 }
 
 // Snapshot is an immutable copy of the counters.
@@ -187,27 +163,6 @@ type Snapshot struct {
 	SpillErrors   int64
 	ScanFallbacks int64
 	ScanRetries   int64
-
-	AllocObjects int64
-	AllocBytes   int64
-}
-
-// AllocsPerTuple returns AllocObjects divided by TuplesRead (0 when no
-// tuples were read).
-func (s Snapshot) AllocsPerTuple() float64 {
-	if s.TuplesRead == 0 {
-		return 0
-	}
-	return float64(s.AllocObjects) / float64(s.TuplesRead)
-}
-
-// AllocBytesPerTuple returns AllocBytes divided by TuplesRead (0 when no
-// tuples were read).
-func (s Snapshot) AllocBytesPerTuple() float64 {
-	if s.TuplesRead == 0 {
-		return 0
-	}
-	return float64(s.AllocBytes) / float64(s.TuplesRead)
 }
 
 // CompressionRatio returns BytesRead divided by PhysBytesRead (0 when no
@@ -235,8 +190,6 @@ func (s *Stats) Snapshot() Snapshot {
 		SpillErrors:   s.SpillErrors(),
 		ScanFallbacks: s.ScanFallbacks(),
 		ScanRetries:   s.ScanRetries(),
-		AllocObjects:  s.AllocObjects(),
-		AllocBytes:    s.AllocBytes(),
 	}
 }
 
@@ -254,8 +207,6 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		SpillErrors:   a.SpillErrors + b.SpillErrors,
 		ScanFallbacks: a.ScanFallbacks + b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries + b.ScanRetries,
-		AllocObjects:  a.AllocObjects + b.AllocObjects,
-		AllocBytes:    a.AllocBytes + b.AllocBytes,
 	}
 }
 
@@ -272,8 +223,6 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		SpillErrors:   a.SpillErrors - b.SpillErrors,
 		ScanFallbacks: a.ScanFallbacks - b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries - b.ScanRetries,
-		AllocObjects:  a.AllocObjects - b.AllocObjects,
-		AllocBytes:    a.AllocBytes - b.AllocBytes,
 	}
 }
 
@@ -289,14 +238,10 @@ func (s Snapshot) String() string {
 		out += fmt.Sprintf(" spillRetries=%d spillErrors=%d scanFallbacks=%d scanRetries=%d",
 			s.SpillRetries, s.SpillErrors, s.ScanFallbacks, s.ScanRetries)
 	}
-	if s.AllocObjects != 0 || s.AllocBytes != 0 {
-		out += fmt.Sprintf(" allocs/tuple=%.3f allocBytes/tuple=%.1f",
-			s.AllocsPerTuple(), s.AllocBytesPerTuple())
-	}
 	return out
 }
 
-// Tracked wraps src so that every Scan and every batch read is recorded in
+// Tracked wraps src so that every scan and every chunk read is recorded in
 // stats. Bytes are accounted using the per-tuple size of the source's
 // natural encoding (the actual file record size for file sources, the wide
 // encoding otherwise).
@@ -320,22 +265,10 @@ type trackedSource struct {
 func (t *trackedSource) Schema() *data.Schema { return t.inner.Schema() }
 func (t *trackedSource) Count() (int64, bool) { return t.inner.Count() }
 
-func (t *trackedSource) Scan() (data.Scanner, error) {
-	sc, err := t.inner.Scan()
-	if err != nil {
-		return nil, err
-	}
-	t.stats.RecordScan()
-	return &trackedScanner{inner: sc, stats: t.stats, tupleBytes: t.tupleBytes}, nil
-}
-
-// ScanChunks implements data.ChunkedSource so tracked sources keep the
-// native columnar scan path of the wrapped source: the chunked scan is
-// resolved against the inner source (falling back to the row adapter only
-// if the inner source has no native path) and reads are recorded per
-// chunk.
+// ScanChunks implements data.Source: the wrapped source's chunked scan,
+// with every scan and every chunk read recorded.
 func (t *trackedSource) ScanChunks() (data.ChunkScanner, error) {
-	sc, err := data.ScanChunks(t.inner)
+	sc, err := t.inner.ScanChunks()
 	if err != nil {
 		return nil, err
 	}
@@ -404,22 +337,3 @@ func (t *trackedChunkScanner) PipelineStats() data.PipelineStats {
 }
 
 func (t *trackedChunkScanner) Close() error { return t.inner.Close() }
-
-type trackedScanner struct {
-	inner      data.Scanner
-	stats      *Stats
-	tupleBytes int64
-}
-
-// Next records delivered rows even when they arrive together with a
-// terminal error (a final partial batch must not go uncounted).
-func (t *trackedScanner) Next() ([]data.Tuple, error) {
-	batch, err := t.inner.Next()
-	if n := int64(len(batch)); n > 0 {
-		t.stats.RecordRead(n, n*t.tupleBytes)
-		t.stats.RecordPhysRead(n * t.tupleBytes)
-	}
-	return batch, err
-}
-
-func (t *trackedScanner) Close() error { return t.inner.Close() }

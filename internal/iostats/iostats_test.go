@@ -111,6 +111,11 @@ func TestNilStatsMethodsSafe(t *testing.T) {
 	s.RecordScan()
 	s.RecordRead(1, 1)
 	s.RecordSpill(1, 1)
+	s.RecordPhysRead(1)
+	s.RecordSpillRetry()
+	s.RecordSpillError()
+	s.RecordScanFallback()
+	s.RecordScanRetry()
 	if s.Snapshot() != (Snapshot{}) {
 		t.Error("nil stats snapshot should be zero")
 	}
@@ -133,6 +138,8 @@ func TestConcurrentRecording(t *testing.T) {
 				st.RecordScan()
 				st.RecordRead(2, 80)
 				st.RecordSpill(1, 40)
+				st.RecordSpillRetry()
+				st.RecordScanFallback()
 				_ = st.Snapshot()
 			}
 		}()
@@ -144,6 +151,9 @@ func TestConcurrentRecording(t *testing.T) {
 		BytesRead:   80 * workers * perWorker,
 		SpillTuples: workers * perWorker,
 		SpillBytes:  40 * workers * perWorker,
+
+		SpillRetries:  workers * perWorker,
+		ScanFallbacks: workers * perWorker,
 	}
 	if got := st.Snapshot(); got != want {
 		t.Fatalf("lost updates: got %v, want %v", got, want)
@@ -188,7 +198,7 @@ func TestConcurrentTrackedScans(t *testing.T) {
 // drainChunks consumes a chunked scan over src and returns the rows seen.
 func drainChunks(t *testing.T, src data.Source) int64 {
 	t.Helper()
-	sc, err := data.ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +265,8 @@ func TestTrackedChunkedScans(t *testing.T) {
 	}
 }
 
-// TestTrackedGenRowScan covers the generator source on the row-at-a-time
-// path (the other two kinds are covered above and in the earlier tests).
+// TestTrackedGenRowScan covers the generator source through ForEach, which
+// gathers rows from the tracked chunk scan.
 func TestTrackedGenRowScan(t *testing.T) {
 	var st Stats
 	src := Tracked(gen.MustSource(gen.Config{Function: 1}, 750, 11), &st)
@@ -269,39 +279,17 @@ func TestTrackedGenRowScan(t *testing.T) {
 	}
 }
 
-// errRowSource delivers its rows in one batch together with a terminal
-// error, like a reader hitting corruption after a final partial batch.
-type errRowSource struct {
+// errChunkSource fills its rows into dst and returns a terminal error in
+// the same NextChunk call, like a reader hitting corruption after a final
+// partial chunk.
+type errChunkSource struct {
 	schema *data.Schema
 	tuples []data.Tuple
 	err    error
 }
 
-func (s *errRowSource) Schema() *data.Schema { return s.schema }
-func (s *errRowSource) Count() (int64, bool) { return 0, false }
-func (s *errRowSource) Scan() (data.Scanner, error) {
-	return &errRowScanner{tuples: s.tuples, err: s.err}, nil
-}
-
-type errRowScanner struct {
-	tuples []data.Tuple
-	err    error
-}
-
-func (s *errRowScanner) Next() ([]data.Tuple, error) {
-	batch := s.tuples
-	s.tuples = nil
-	return batch, s.err
-}
-
-func (s *errRowScanner) Close() error { return nil }
-
-// errChunkSource is the chunked analogue: NextChunk fills rows into dst
-// and returns a terminal error in the same call.
-type errChunkSource struct {
-	errRowSource
-}
-
+func (s *errChunkSource) Schema() *data.Schema { return s.schema }
+func (s *errChunkSource) Count() (int64, bool) { return 0, false }
 func (s *errChunkSource) ScanChunks() (data.ChunkScanner, error) {
 	return &errChunkScanner{tuples: s.tuples, err: s.err}, nil
 }
@@ -323,31 +311,15 @@ func (s *errChunkScanner) Close() error { return nil }
 
 // TestTrackedCountsRowsDeliveredWithError pins down the accounting fix:
 // rows handed back together with a terminal error were still read and
-// must be counted, on both the row and the chunked path.
+// must be counted.
 func TestTrackedCountsRowsDeliveredWithError(t *testing.T) {
 	boom := errors.New("disk error")
-	base := errRowSource{schema: testSchema(), tuples: testTuples(7), err: boom}
-
-	t.Run("rows", func(t *testing.T) {
-		var st Stats
-		src := Tracked(&base, &st)
-		sc, err := src.Scan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := sc.Next()
-		if len(batch) != 7 || !errors.Is(err, boom) {
-			t.Fatalf("Next = (%d rows, %v), want 7 rows with the terminal error", len(batch), err)
-		}
-		if st.TuplesRead() != 7 {
-			t.Fatalf("TuplesRead = %d, want 7 (final batch delivered with error)", st.TuplesRead())
-		}
-	})
+	base := &errChunkSource{schema: testSchema(), tuples: testTuples(7), err: boom}
 
 	t.Run("chunks", func(t *testing.T) {
 		var st Stats
-		src := Tracked(&errChunkSource{errRowSource: base}, &st)
-		cs, err := data.ScanChunks(src)
+		src := Tracked(base, &st)
+		cs, err := src.ScanChunks()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,17 +340,14 @@ func TestSnapshotAdd(t *testing.T) {
 	a := Snapshot{
 		Scans: 1, TuplesRead: 2, BytesRead: 3, SpillTuples: 4, SpillBytes: 5,
 		SpillRetries: 6, SpillErrors: 7, ScanFallbacks: 8, ScanRetries: 9,
-		AllocObjects: 10, AllocBytes: 11,
 	}
 	b := Snapshot{
 		Scans: 100, TuplesRead: 200, BytesRead: 300, SpillTuples: 400, SpillBytes: 500,
 		SpillRetries: 600, SpillErrors: 700, ScanFallbacks: 800, ScanRetries: 900,
-		AllocObjects: 1000, AllocBytes: 1100,
 	}
 	want := Snapshot{
 		Scans: 101, TuplesRead: 202, BytesRead: 303, SpillTuples: 404, SpillBytes: 505,
 		SpillRetries: 606, SpillErrors: 707, ScanFallbacks: 808, ScanRetries: 909,
-		AllocObjects: 1010, AllocBytes: 1111,
 	}
 	if got := a.Add(b); got != want {
 		t.Errorf("Add = %+v, want %+v", got, want)
@@ -391,55 +360,16 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
-// TestSnapshotString: failure and allocation counters appear only when
-// non-zero, so the common all-healthy snapshot stays one short line.
+// TestSnapshotString: failure counters appear only when non-zero, so the common all-healthy snapshot stays one short line.
 func TestSnapshotString(t *testing.T) {
 	clean := Snapshot{Scans: 2, TuplesRead: 10, BytesRead: 400}.String()
-	if strings.Contains(clean, "spillRetries") || strings.Contains(clean, "allocs/tuple") {
-		t.Errorf("clean snapshot shows failure/alloc counters: %q", clean)
+	if strings.Contains(clean, "spillRetries") {
+		t.Errorf("clean snapshot shows failure counters: %q", clean)
 	}
 	faulty := Snapshot{Scans: 1, SpillRetries: 3, ScanFallbacks: 1}.String()
 	if !strings.Contains(faulty, "spillRetries=3") || !strings.Contains(faulty, "scanFallbacks=1") {
 		t.Errorf("faulty snapshot hides failure counters: %q", faulty)
 	}
-	allocs := Snapshot{TuplesRead: 10, AllocObjects: 5, AllocBytes: 160}.String()
-	if !strings.Contains(allocs, "allocs/tuple=0.500") || !strings.Contains(allocs, "allocBytes/tuple=16.0") {
-		t.Errorf("alloc rendering wrong: %q", allocs)
-	}
-}
-
-// TestConcurrentRecordAllocs: benchmark harnesses attribute MemStats
-// deltas from several goroutines; no updates may be lost.
-func TestConcurrentRecordAllocs(t *testing.T) {
-	var st Stats
-	const workers, perWorker = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				st.RecordAllocs(3, 96)
-				st.RecordSpillRetry()
-				st.RecordScanFallback()
-			}
-		}()
-	}
-	wg.Wait()
-	snap := st.Snapshot()
-	if snap.AllocObjects != 3*workers*perWorker || snap.AllocBytes != 96*workers*perWorker {
-		t.Fatalf("lost alloc updates: %+v", snap)
-	}
-	if snap.SpillRetries != workers*perWorker || snap.ScanFallbacks != workers*perWorker {
-		t.Fatalf("lost fault updates: %+v", snap)
-	}
-	// The nil receiver stays a no-op for the fault/alloc recorders too.
-	var nilStats *Stats
-	nilStats.RecordAllocs(1, 1)
-	nilStats.RecordSpillRetry()
-	nilStats.RecordSpillError()
-	nilStats.RecordScanFallback()
-	nilStats.RecordScanRetry()
 }
 
 // TestTrackedPhysVsLogicalBytes pins the two-counter contract: row files

@@ -224,7 +224,7 @@ func dealOut(labels []int, segs *[][]int, offset, n int) ([]int, error) {
 }
 
 func (p *Predictor) predictSequential(src data.Source, labels []int, segs *[][]int, res *Result) error {
-	sc, err := data.ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func (p *Predictor) predictSequential(src data.Source, labels []int, segs *[][]i
 }
 
 func (p *Predictor) predictParallel(src data.Source, labels []int, segs *[][]int, res *Result) error {
-	sc, err := data.ScanChunks(src)
+	sc, err := src.ScanChunks()
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ package warehouse
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"github.com/boatml/boat/internal/data"
@@ -133,58 +132,26 @@ type viewSource struct {
 func (v *viewSource) Schema() *data.Schema { return v.schema }
 func (v *viewSource) Count() (int64, bool) { return v.n, true }
 
-func (v *viewSource) Scan() (data.Scanner, error) {
-	sc := &viewScanner{
-		star:      v.star,
-		rng:       rand.New(rand.NewSource(v.seed)),
-		remaining: v.n,
-	}
-	arity := len(v.schema.Attributes)
-	sc.batch = make([]data.Tuple, data.DefaultBatchSize)
-	values := make([]float64, len(sc.batch)*arity)
-	for i := range sc.batch {
-		sc.batch[i].Values = values[i*arity : (i+1)*arity]
-	}
-	return sc, nil
-}
-
-type viewScanner struct {
-	star      *Star
-	rng       *rand.Rand
-	remaining int64
-	batch     []data.Tuple
-}
-
-func (s *viewScanner) Next() ([]data.Tuple, error) {
-	if s.remaining == 0 {
-		return nil, io.EOF
-	}
-	n := int64(len(s.batch))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	for i := int64(0); i < n; i++ {
+// ScanChunks streams the fact table from the view's seed and joins each
+// fact row with its dimensions on the fly.
+func (v *viewSource) ScanChunks() (data.ChunkScanner, error) {
+	star := v.star
+	rng := rand.New(rand.NewSource(v.seed))
+	return data.GenerateChunks(len(v.schema.Attributes), v.n, func(vals []float64) int {
 		// One fact-table row...
-		cID := s.rng.Intn(len(s.star.customers))
-		pID := s.rng.Intn(len(s.star.products))
-		channel := s.rng.Intn(3)
-		c := s.star.customers[cID]
-		p := s.star.products[pID]
+		c := star.customers[rng.Intn(len(star.customers))]
+		p := star.products[rng.Intn(len(star.products))]
+		channel := rng.Intn(3)
 		// Spend correlates with income and price; integral amounts.
-		amount := float64(int64(p.price)) + float64(s.rng.Int63n(int64(c.income)/4+1))
+		amount := float64(int64(p.price)) + float64(rng.Int63n(int64(c.income)/4+1))
 		// ...joined with its dimensions and labeled.
-		t := &s.batch[i]
-		t.Values[0] = c.age
-		t.Values[1] = c.income
-		t.Values[2] = float64(c.region)
-		t.Values[3] = float64(p.category)
-		t.Values[4] = p.price
-		t.Values[5] = float64(channel)
-		t.Values[6] = amount
-		t.Class = label(s.rng, c, p, channel, amount)
-	}
-	s.remaining -= n
-	return s.batch[:n], nil
+		vals[0] = c.age
+		vals[1] = c.income
+		vals[2] = float64(c.region)
+		vals[3] = float64(p.category)
+		vals[4] = p.price
+		vals[5] = float64(channel)
+		vals[6] = amount
+		return label(rng, c, p, channel, amount)
+	}), nil
 }
-
-func (s *viewScanner) Close() error { return nil }
