@@ -255,8 +255,8 @@ func run(mc mainConfig) int {
 		}
 		fmt.Printf("builds: %d | exact: %d | clean errors: %d\n", res.Builds, res.Exact, res.Failed)
 		fmt.Printf("faults injected: %d (%d transient)\n", res.InjectedFaults, res.Transient)
-		fmt.Printf("recoveries: spill-retries=%d scan-fallbacks=%d scan-retries=%d spill-rebuilds=%d\n",
-			res.SpillRetries, res.ScanFallbacks, res.ScanRetries, res.SpillRebuilds)
+		fmt.Printf("recoveries: spill-retries=%d scan-retries=%d spill-rebuilds=%d\n",
+			res.SpillRetries, res.ScanRetries, res.SpillRebuilds)
 		fmt.Println("every build produced the exact tree or a clean error; no temp files or budget leaked")
 		return 0
 	}

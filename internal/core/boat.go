@@ -88,12 +88,12 @@ func (t *Tree) mutateStats(f func(b *BuildStats, upd *UpdateStats)) {
 	t.statsMu.Unlock()
 }
 
-// spillEnv assembles the spill environment for a buffer charged against
-// budget: the tree's temp dir, recorder, filesystem, and retry policy.
-func (t *Tree) spillEnv(budget *data.MemBudget) data.SpillEnv {
+// spillEnv assembles the spill environment for a tree buffer: the tree's
+// memory budget, temp dir, recorder, filesystem, and retry policy.
+func (t *Tree) spillEnv() data.SpillEnv {
 	return data.SpillEnv{
 		Dir:    t.cfg.TempDir,
-		Budget: budget,
+		Budget: t.budget,
 		Rec:    t.cfg.Stats,
 		FS:     t.cfg.FS,
 		Retry:  t.cfg.SpillRetry,
@@ -203,8 +203,8 @@ func (t *Tree) buildFromSample(src data.Source, sample []data.Tuple, n int64, de
 	root := t.skeletonFromCoarse(coarse, sample, depth)
 	skelSpan.End()
 
-	// Cleanup scan (scan 2): stream every tuple down the coarse tree,
-	// sharded across workers when Parallelism > 1 (see scan.go). On any
+	// Cleanup scan (scan 2): stream every tuple down the coarse tree
+	// through the chunk router (see scan.go and router.go). On any
 	// error the skeleton's buffers (and their temp files) are released
 	// before returning, so a failed build never leaks.
 	scanSpan := parent.Start("cleanup-scan")

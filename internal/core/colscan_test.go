@@ -77,8 +77,8 @@ func openFile(t *testing.T, path string) data.Source {
 // the columnar path: the tree built from a columnar file — at every
 // pipeline depth (including the synchronous reader) and parallelism — is
 // bit-identical to the tree built from the row file holding the same
-// tuple sequence. At P>1 this is the chunk-sharded scan over the
-// pipelined reader.
+// tuple sequence. At P>1 the chunk router forks subtree descents over
+// the pipelined reader.
 func TestColumnarFormatTreeIdentity(t *testing.T) {
 	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 1024)
 
@@ -213,11 +213,10 @@ func TestUpdateZoneSkipExactness(t *testing.T) {
 
 // TestBlockShardedTreeIdentity is the determinism contract of the
 // parallel cleanup scan over a many-block columnar file: with blocks
-// smaller than a chunk, every chunk spans several blocks, and the
-// chunk-sharded scan still merges its shadow trees in file order — so the
-// tree is bit-identical to the sequential row build AND to the default
-// chunk-sharded build, at every parallelism and pipeline depth, with no
-// silent fallback to the sequential scan.
+// smaller than a chunk, every chunk spans several blocks, and the chunk
+// router still applies each node's rows in file order — so the tree is
+// bit-identical to the sequential row build AND to the default P8 build,
+// at every parallelism and pipeline depth, with no storage-fault retry.
 func TestBlockShardedTreeIdentity(t *testing.T) {
 	rowPath, colPath := writeF1Files(t, 3*data.DefaultChunkRows, 512)
 
@@ -234,15 +233,15 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 	}
 	defer ref.Close()
 
-	chunkCfg := colTestConfig()
-	chunkCfg.Parallelism = 8
-	chunkCfg.TempDir = t.TempDir()
-	chunked, err := Build(openFile(t, colPath), chunkCfg)
+	p8Cfg := colTestConfig()
+	p8Cfg.Parallelism = 8
+	p8Cfg.TempDir = t.TempDir()
+	p8, err := Build(openFile(t, colPath), p8Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer chunked.Close()
-	requireEqual(t, "chunk-sharded vs row", chunked.Tree(), ref.Tree())
+	defer p8.Close()
+	requireEqual(t, "P8 columnar vs row", p8.Tree(), ref.Tree())
 
 	for _, depth := range []int{-1, 4} {
 		for _, para := range []int{1, 4, 8} {
@@ -259,12 +258,12 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 				}
 				defer bt.Close()
 				requireEqual(t, "many-block vs row", bt.Tree(), ref.Tree())
-				requireEqual(t, "many-block vs chunk-sharded", bt.Tree(), chunked.Tree())
+				requireEqual(t, "many-block vs P8", bt.Tree(), p8.Tree())
 				if err := bt.CheckConsistency(); err != nil {
 					t.Fatal(err)
 				}
-				if f := stats.ScanFallbacks(); f != 0 {
-					t.Errorf("parallel build fell back %d times", f)
+				if r := stats.ScanRetries(); r != 0 {
+					t.Errorf("fault-free build retried its cleanup scan %d times", r)
 				}
 			})
 		}
@@ -273,7 +272,7 @@ func TestBlockShardedTreeIdentity(t *testing.T) {
 
 // collectIntervalCounters flattens every internal node's detached
 // interval statistics (lowCounts, highCounts, eqLow) in preorder — the
-// counters the streaming-update router must keep exact even for batches
+// counters the chunk router must keep exact even for batches
 // the zone maps route without a per-row pass.
 func collectIntervalCounters(n *bnode) []int64 {
 	var out []int64
@@ -293,7 +292,7 @@ func collectIntervalCounters(n *bnode) []int64 {
 }
 
 // TestUpdateIntervalCountersExactUnderZoneSkip pins the eager-counting
-// contract of the update router's zone skip (update.go): a numeric batch
+// contract of the chunk router's zone skip (router.go): a numeric batch
 // a zone map routes left adds to lowCounts only (a left skip implies
 // every value is strictly below the interval, so never eqLow), a batch
 // routed right adds to highCounts — exactly the totals the per-row pass

@@ -96,14 +96,14 @@ type Config struct {
 
 	// Trace, when non-nil, receives hierarchical build-lifecycle spans —
 	// sampling, bootstrap-tree growth, coarse-tree intersection, the
-	// cleanup scan and its shard workers, verification, subtree rebuilds,
+	// cleanup scan and its pipeline stages, verification, subtree rebuilds,
 	// leaf completion — with per-span wall-clock and (when Stats is also
 	// set and shared with the tracer) iostats deltas. nil disables tracing
 	// at zero cost: every span call is a nil-receiver no-op.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives build counters, gauges and
 	// histograms (CI hit/miss per verified node, verification-failure
-	// causes, stuck-set sizes, per-shard scan throughput, rebuild and
+	// causes, stuck-set sizes, cleanup-scan throughput, rebuild and
 	// leaf-completion counts). nil disables metrics at zero cost.
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives structured build progress records
@@ -135,15 +135,15 @@ type Config struct {
 	// pipelined scan. 0 selects min(4, GOMAXPROCS).
 	PipelineWorkers int
 
-	// Parallelism is the number of worker goroutines used by the three
-	// build phases: bootstrap-tree growth, the sharded cleanup scan, and
-	// the completion of independent leaves after top-down processing.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs every phase sequentially
-	// in-line. The resulting tree is identical at every setting: per-tree
-	// bootstrap RNGs are derived from Seed + treeIndex, shard statistics
-	// are exact mergeable counts combined in deterministic worker order,
-	// and BOAT's verification guarantees the exact reference tree
-	// regardless of scan order.
+	// Parallelism is the number of worker goroutines used by bootstrap-tree
+	// growth, the chunk router (the cleanup scan and Insert/Delete fork
+	// subtree descents up to this many workers), and the completion of
+	// independent leaves after top-down processing. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs every phase sequentially in-line. The
+	// resulting tree is identical at every setting: per-tree bootstrap
+	// RNGs are derived from Seed + treeIndex, each node's statistics and
+	// buffers are updated by one worker in stream order, and BOAT's
+	// verification guarantees the exact reference tree.
 	Parallelism int
 }
 

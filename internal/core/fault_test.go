@@ -39,45 +39,60 @@ func requireNoTempsUnder(t *testing.T, dir string) {
 	}
 }
 
-// TestShardedScanFallsBackOnSpillFault: permanent create faults break the
-// sharded cleanup scan on its first spills; the build must degrade to the
-// sequential scan (resetting all partial statistics) and still produce the
-// exact reference tree, leaking nothing.
-func TestShardedScanFallsBackOnSpillFault(t *testing.T) {
+// TestCleanupScanRetriesOnSpillFault: a permanent create fault breaks the
+// cleanup scan on its first spill; the build must reset all partial
+// statistics, rerun the scan once and still produce the exact reference
+// tree, leaking no budget, temp files or goroutines (forked descents and
+// pipeline goroutines included). A second permanent fault breaks the
+// retry too: the build must then fail with the typed spill error, again
+// leaking nothing.
+func TestCleanupScanRetriesOnSpillFault(t *testing.T) {
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, 12000, 77)
-	g := t.TempDir()
-	stats := &iostats.Stats{}
-	budget := data.NewMemBudget(64) // tiny: the scan must spill immediately
-	fs := faultfs.New(nil, faultfs.Config{Seed: 7, CreateProb: 1, MaxFaults: 2})
-	bt, err := Build(src, Config{
+	cfg := Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 		SampleSize: 1500, Seed: 11, Parallelism: 4,
-		Budget: budget, TempDir: g, FS: fs, SpillRetry: noSleep, Stats: stats,
-	})
-	if err != nil {
-		t.Fatalf("build did not recover from sharded-scan faults: %v", err)
 	}
-	if stats.ScanFallbacks() != 1 {
-		t.Errorf("scan fallbacks = %d, want 1", stats.ScanFallbacks())
-	}
-	// The degraded build must equal the fault-free build exactly.
-	ref, err := Build(src, Config{
-		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
-		SampleSize: 1500, Seed: 11, Parallelism: 4, TempDir: g,
-	})
+	refCfg := cfg
+	refCfg.TempDir = t.TempDir()
+	ref, err := Build(src, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqual(t, "fallback", bt.Tree(), ref.Tree())
-	if err := bt.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	defer ref.Close()
+
+	for _, faults := range []int64{1, 2} {
+		baseline := runtime.NumGoroutine()
+		stats := &iostats.Stats{}
+		budget := data.NewMemBudget(64) // tiny: the scan must spill immediately
+		fcfg := cfg
+		fcfg.Budget = budget
+		fcfg.TempDir = t.TempDir()
+		fcfg.FS = faultfs.New(nil, faultfs.Config{Seed: 7, CreateProb: 1, MaxFaults: faults})
+		fcfg.SpillRetry = noSleep
+		fcfg.Stats = stats
+		bt, err := Build(src, fcfg)
+		if faults == 1 {
+			if err != nil {
+				t.Fatalf("build did not recover from a cleanup-scan spill fault: %v", err)
+			}
+			// The recovered build must equal the fault-free build exactly.
+			requireEqual(t, "retry after spill fault", bt.Tree(), ref.Tree())
+			if err := bt.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			bt.Close()
+		} else if err == nil || !data.IsSpillError(err) {
+			t.Fatalf("%d faults: got %v, want the typed spill error of the failed retry", faults, err)
+		}
+		if got := stats.ScanRetries(); got != 1 {
+			t.Errorf("%d faults: scan retries = %d, want 1", faults, got)
+		}
+		if budget.Used() != 0 {
+			t.Errorf("%d faults: budget used = %d after close, want 0", faults, budget.Used())
+		}
+		requireNoTempsUnder(t, fcfg.TempDir)
+		waitGoroutines(t, baseline)
 	}
-	bt.Close()
-	ref.Close()
-	if budget.Used() != 0 {
-		t.Errorf("budget used = %d after close, want 0", budget.Used())
-	}
-	requireNoTempsUnder(t, g)
 }
 
 // waitGoroutines polls until the goroutine count falls back to baseline,
@@ -143,10 +158,10 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 }
 func (r *failAfterReader) Close() error { return r.rc.Close() }
 
-// shardedReadConfig is the shared configuration of the sharded-scan
-// read-fault tests: four workers over a columnar file large enough to
-// shard (at least two chunks), pipelined reads.
-func shardedReadConfig(stats *iostats.Stats, dir string) Config {
+// readFaultConfig is the shared configuration of the cleanup-scan
+// read-fault tests: four workers over a columnar file of several chunks,
+// pipelined reads.
+func readFaultConfig(stats *iostats.Stats, dir string) Config {
 	return Config{
 		Method: split.NewGini(), MaxDepth: 5, MinSplit: 50,
 		SampleSize: 1500, Seed: 11, Parallelism: 4,
@@ -154,9 +169,9 @@ func shardedReadConfig(stats *iostats.Stats, dir string) Config {
 	}
 }
 
-// writeShardedReadFile materializes a columnar file of n tuples in small
+// writeReadFaultFile materializes a columnar file of n tuples in small
 // blocks, so a read fault can land mid-scan.
-func writeShardedReadFile(t *testing.T, n int64) string {
+func writeReadFaultFile(t *testing.T, n int64) string {
 	t.Helper()
 	src := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 77)
 	path := filepath.Join(t.TempDir(), "d.boatc")
@@ -166,34 +181,34 @@ func writeShardedReadFile(t *testing.T, n int64) string {
 	return path
 }
 
-// shardedReadReference builds the fault-free tree the read-fault tests
+// readFaultReference builds the fault-free tree the read-fault tests
 // compare against.
-func shardedReadReference(t *testing.T, path string) *Tree {
+func readFaultReference(t *testing.T, path string) *Tree {
 	t.Helper()
 	src, err := data.OpenColFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(src, shardedReadConfig(nil, t.TempDir()))
+	ref, err := Build(src, readFaultConfig(nil, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ref
 }
 
-// TestShardedScanFallsBackOnReadFault: a permanent read failure in the
-// middle of the sharded cleanup scan's shared reader kills the scan; the
-// build must reset every partial statistic, fall back to the sequential
-// scan, produce the exact fault-free tree, leak no goroutines, release
-// its budget, and count I/O passes exactly (sampling + one sharded
-// attempt + one sequential fallback = 3 scans).
-func TestShardedScanFallsBackOnReadFault(t *testing.T) {
-	path := writeShardedReadFile(t, 12000)
-	ref := shardedReadReference(t, path)
+// TestCleanupScanRetriesOnReadFault: a permanent read failure in the
+// middle of the cleanup scan's reader kills the scan; the build must
+// reset every partial statistic, rerun the scan once, produce the exact
+// fault-free tree, leak no goroutines or temp files, release its budget,
+// and count I/O passes exactly (sampling + failed attempt + retry = 3
+// scans).
+func TestCleanupScanRetriesOnReadFault(t *testing.T) {
+	path := writeReadFaultFile(t, 12000)
+	ref := readFaultReference(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
-	// Open #1 is the sampling pass; open #2 is the sharded scan's reader.
+	// Open #1 is the sampling pass; open #2 is the cleanup scan's reader.
 	// Fail it a few reads in, mid-file.
 	fs := &failOpenReadFS{failOpen: 2, okReads: 2}
 	src, err := data.OpenColFile(path, data.ColOptions{FS: fs, Retry: noSleep})
@@ -202,19 +217,20 @@ func TestShardedScanFallsBackOnReadFault(t *testing.T) {
 	}
 	stats := &iostats.Stats{}
 	budget := data.NewMemBudget(1 << 20)
-	cfg := shardedReadConfig(stats, t.TempDir())
+	dir := t.TempDir()
+	cfg := readFaultConfig(stats, dir)
 	cfg.Budget = budget
 	bt, err := Build(src, cfg)
 	if err != nil {
-		t.Fatalf("build did not recover from the sharded-scan read fault: %v", err)
+		t.Fatalf("build did not recover from the cleanup-scan read fault: %v", err)
 	}
-	if got := stats.ScanFallbacks(); got != 1 {
-		t.Errorf("scan fallbacks = %d, want 1", got)
+	if got := stats.ScanRetries(); got != 1 {
+		t.Errorf("scan retries = %d, want 1", got)
 	}
 	if got := stats.Scans(); got != 3 {
-		t.Errorf("scans = %d, want 3 (sampling, sharded attempt, sequential fallback)", got)
+		t.Errorf("scans = %d, want 3 (sampling, failed attempt, retry)", got)
 	}
-	requireEqual(t, "fallback after sharded read fault", bt.Tree(), ref.Tree())
+	requireEqual(t, "retry after read fault", bt.Tree(), ref.Tree())
 	if err := bt.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +238,16 @@ func TestShardedScanFallsBackOnReadFault(t *testing.T) {
 	if budget.Used() != 0 {
 		t.Errorf("budget used = %d after close, want 0", budget.Used())
 	}
+	requireNoTempsUnder(t, dir)
 	waitGoroutines(t, baseline)
 }
 
-// TestShardedScanTransientReadRetried: transient read faults under the
-// sharded cleanup scan are absorbed by the blockReader's retry policy —
-// no fallback, no goroutine leaks, and the exact fault-free tree.
-func TestShardedScanTransientReadRetried(t *testing.T) {
-	path := writeShardedReadFile(t, 12000)
-	ref := shardedReadReference(t, path)
+// TestCleanupScanTransientReadRetried: transient read faults under the
+// cleanup scan are absorbed by the blockReader's retry policy — no scan
+// retry, no leaks, and the exact fault-free tree.
+func TestCleanupScanTransientReadRetried(t *testing.T) {
+	path := writeReadFaultFile(t, 12000)
+	ref := readFaultReference(t, path)
 	defer ref.Close()
 
 	baseline := runtime.NumGoroutine()
@@ -243,18 +260,26 @@ func TestShardedScanTransientReadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &iostats.Stats{}
-	bt, err := Build(src, shardedReadConfig(stats, t.TempDir()))
+	budget := data.NewMemBudget(1 << 20)
+	dir := t.TempDir()
+	cfg := readFaultConfig(stats, dir)
+	cfg.Budget = budget
+	bt, err := Build(src, cfg)
 	if err != nil {
 		t.Fatalf("build failed under transient read faults: %v", err)
 	}
-	defer bt.Close()
-	if got := stats.ScanFallbacks(); got != 0 {
-		t.Errorf("scan fallbacks = %d, want 0 (transient faults retry in place)", got)
+	if got := stats.ScanRetries(); got != 0 {
+		t.Errorf("scan retries = %d, want 0 (transient faults retry in place)", got)
 	}
 	if st := fs.Stats(); st.Faults == 0 {
 		t.Fatal("injection never fired; the test exercised nothing")
 	}
 	requireEqual(t, "transient faults retried", bt.Tree(), ref.Tree())
+	bt.Close()
+	if budget.Used() != 0 {
+		t.Errorf("budget used = %d after close, want 0", budget.Used())
+	}
+	requireNoTempsUnder(t, dir)
 	waitGoroutines(t, baseline)
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/boatml/boat/internal/data"
@@ -74,36 +73,12 @@ func (t *Tree) update(chunk data.Source, w int64) (UpdateStats, error) {
 	// the build's.
 	tracked := iostats.Tracked(chunk, t.cfg.Stats)
 	routeSpan := updSpan.Start("route-chunk")
-	rows := t.cfg.chunkRows()
 	if t.updScratch == nil {
-		t.updScratch = newRouteScratch(rows)
+		t.updScratch = newRouteScratch(t.cfg.chunkRows())
 	}
-	csc, err := data.ScanChunksPipelined(tracked, t.pipelineCfg())
-	if err == nil {
-		ch := data.NewChunk(len(t.schema.Attributes), rows)
-		for err == nil {
-			ch.Reset()
-			nerr := csc.NextChunk(ch)
-			if nerr == io.EOF {
-				break
-			}
-			if nerr != nil {
-				err = nerr
-				break
-			}
-			if ch.Len() == 0 {
-				continue
-			}
-			upd.TuplesSeen += int64(ch.Len())
-			upd.Chunks++
-			err = t.runUpdateChunk(ch, t.updScratch, w)
-		}
-		if cerr := csc.Close(); err == nil {
-			err = cerr
-		}
-		attachPipelineSpans(routeSpan, csc)
-		t.recordPipelineStats(csc)
-	}
+	res, err := t.routeSource(tracked, t.root, w, t.updScratch, routeSpan)
+	upd.TuplesSeen, upd.Chunks = res.tuples, res.chunks
+	t.met.updBlocksSkipped.Add(res.skips)
 	routeSpan.SetAttr("tuples", upd.TuplesSeen)
 	routeSpan.SetAttr("chunks", upd.Chunks)
 	routeSpan.End()

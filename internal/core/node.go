@@ -76,7 +76,7 @@ func (t *Tree) newLeaf(depth int) *bnode {
 		leaf:        true,
 		dirty:       true,
 		classCounts: make([]int64, t.schema.ClassCount),
-		family:      data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget)),
+		family:      data.NewTupleBagEnv(t.schema, t.spillEnv()),
 	}
 }
 
@@ -101,8 +101,8 @@ func (t *Tree) newInternal(depth int, c *coarseCrit) *bnode {
 	if c.kind == data.Numeric {
 		n.lowCounts = make([]int64, t.schema.ClassCount)
 		n.highCounts = make([]int64, t.schema.ClassCount)
-		n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
-		n.pushed = data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
+		n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv())
+		n.pushed = data.NewTupleBagEnv(t.schema, t.spillEnv())
 	}
 	return n
 }

@@ -99,7 +99,7 @@ func TestBuildTraceCoverageAndIODeltas(t *testing.T) {
 	}
 
 	// The metrics registry saw the build: CI verdicts, scan totals, and
-	// the sequential scan's shard-0 throughput.
+	// the cleanup scan's throughput.
 	snap := reg.Snapshot()
 	if snap.Counters["verify.ci.hit"]+snap.Counters["verify.ci.miss"] == 0 {
 		t.Fatalf("no CI verdicts recorded: %+v", snap.Counters)
@@ -108,11 +108,8 @@ func TestBuildTraceCoverageAndIODeltas(t *testing.T) {
 	if got := snap.Counters["scan.tuples"]; got != bs.TuplesSeen {
 		t.Fatalf("scan.tuples = %d, BuildStats.TuplesSeen = %d", got, bs.TuplesSeen)
 	}
-	if got := snap.Counters["scan.shard.0.tuples"]; got != bs.TuplesSeen {
-		t.Fatalf("scan.shard.0.tuples = %d, want %d", got, bs.TuplesSeen)
-	}
-	if _, ok := snap.Gauges["scan.shard.0.tuples_per_sec"]; !ok {
-		t.Fatalf("no shard throughput gauge: %+v", snap.Gauges)
+	if got := snap.Gauges["scan.tuples_per_sec"]; got <= 0 {
+		t.Fatalf("scan.tuples_per_sec = %v, want > 0: %+v", got, snap.Gauges)
 	}
 	if got := snap.Counters["rebuild.frontier"]; got != bs.FrontierRebuilds {
 		t.Fatalf("rebuild.frontier = %d, BuildStats.FrontierRebuilds = %d", got, bs.FrontierRebuilds)
@@ -237,75 +234,6 @@ func TestUpdateTracing(t *testing.T) {
 		if !strings.Contains(full, "route-chunk") || !strings.Contains(full, "verification") {
 			t.Fatalf("%s span misses phases: %s", skel, full)
 		}
-	}
-}
-
-// spanAttr returns the value of one span attribute (nil when unset).
-func spanAttr(s *obs.Span, key string) any {
-	for _, a := range s.Attrs() {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return nil
-}
-
-// TestCleanupScanSpanMode: every cleanup-scan span names the path it
-// took. At Parallelism 4 a known-size input under two chunks is scanned
-// sequentially and a larger one is sharded; rebuild scans (children of
-// rebuild spans) must carry a mode too, whichever path they take.
-func TestCleanupScanSpanMode(t *testing.T) {
-	for _, tc := range []struct {
-		n    int64
-		want string
-	}{
-		{2*data.DefaultChunkRows - 1, "sequential"},
-		{3 * data.DefaultChunkRows, "sharded"},
-	} {
-		t.Run(tc.want, func(t *testing.T) {
-			gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, tc.n, 107)
-			tuples, err := data.ReadAll(gsrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tracer := obs.NewTracer(nil)
-			cfg := obsTestConfig()
-			cfg.Parallelism = 4
-			cfg.TempDir = t.TempDir()
-			cfg.Trace = tracer
-			tree, err := Build(data.NewMemSource(gsrc.Schema(), tuples), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tree.Close()
-
-			var scans []*obs.Span
-			var walk func(*obs.Span)
-			walk = func(s *obs.Span) {
-				if s.Name() == "cleanup-scan" {
-					scans = append(scans, s)
-				}
-				for _, c := range s.Children() {
-					walk(c)
-				}
-			}
-			build := tracer.Roots()[0]
-			walk(build)
-			for _, s := range scans {
-				if spanAttr(s, "mode") == nil {
-					t.Fatalf("a cleanup-scan span of %d tuples carries no mode", spanAttr(s, "tuples"))
-				}
-			}
-			for _, c := range build.Children() {
-				if c.Name() == "cleanup-scan" {
-					if got := spanAttr(c, "mode"); got != tc.want {
-						t.Fatalf("build's cleanup-scan mode = %v, want %q", got, tc.want)
-					}
-					return
-				}
-			}
-			t.Fatal("build has no cleanup-scan span")
-		})
 	}
 }
 

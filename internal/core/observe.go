@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"log/slog"
 
 	"github.com/boatml/boat/internal/data"
@@ -18,10 +17,12 @@ type metricSet struct {
 	ciHit, ciMiss                                                  *obs.Counter
 	failNoCandidate, failBetterCat, failBound, failTie, failMoment *obs.Counter
 
-	// Cleanup scan. blocksSkipped counts whole chunks the scan router
-	// descended by zone map alone (partition kernel bypassed);
-	// updBlocksSkipped is its streaming-update twin.
+	// Cleanup scan. blocksSkipped counts the nodes at which the chunk
+	// router descended a whole batch by zone map alone (partition kernel
+	// bypassed) during a scan; updBlocksSkipped is its streaming-update
+	// twin. scanRate is the last cleanup scan's throughput.
 	scanTuples       *obs.Counter
+	scanRate         *obs.Gauge
 	stuckTuples      *obs.Counter
 	stuckPerNode     *obs.Histogram
 	blocksSkipped    *obs.Counter
@@ -72,6 +73,7 @@ func newMetricSet(r *obs.Registry) metricSet {
 		failTie:          r.Counter("verify.fail.tie"),
 		failMoment:       r.Counter("verify.fail.moment"),
 		scanTuples:       r.Counter("scan.tuples"),
+		scanRate:         r.Gauge("scan.tuples_per_sec"),
 		stuckTuples:      r.Counter("scan.stuck.tuples"),
 		stuckPerNode:     r.Histogram("scan.stuck.per_node"),
 		blocksSkipped:    r.Counter("scan.blocks_skipped"),
@@ -148,20 +150,6 @@ func (t *Tree) recordPipelineStats(csc data.ChunkScanner) {
 	t.met.pipeTotalReadNS.Add(int64(ps.Read))
 	t.met.pipeTotalDecodeNS.Add(int64(ps.Decode))
 	t.met.pipeTotalDeliverNS.Add(int64(ps.Deliver))
-}
-
-// recordShardThroughput publishes one cleanup-scan shard's tuple count
-// and throughput. The sequential scan reports as shard 0 of 1, so the
-// metric names exist at every Parallelism setting.
-func (t *Tree) recordShardThroughput(shard int, tuples int64, seconds float64) {
-	r := t.cfg.Metrics
-	if !r.Enabled() {
-		return
-	}
-	r.Counter(fmt.Sprintf("scan.shard.%d.tuples", shard)).Add(tuples)
-	if seconds > 0 {
-		r.Gauge(fmt.Sprintf("scan.shard.%d.tuples_per_sec", shard)).Set(float64(tuples) / seconds)
-	}
 }
 
 // observeStuckSets feeds the per-node stuck-set size histogram after a

@@ -442,7 +442,7 @@ func (d *decoder) f64s() []float64 {
 
 func (d *decoder) bag() *data.TupleBag {
 	n := d.u64()
-	bag := data.NewTupleBagEnv(d.schema, d.t.spillEnv(d.t.budget))
+	bag := data.NewTupleBagEnv(d.schema, d.t.spillEnv())
 	d.open = append(d.open, bag)
 	if d.err != nil {
 		return bag

@@ -107,7 +107,7 @@ func (t *Tree) processInternal(n *bnode, rdepth int, leaves *[]*bnode, sp *obs.S
 				// tuples were pushed successfully, so the contents are
 				// disposable.
 				n.pending.Close()
-				n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
+				n.pending = data.NewTupleBagEnv(t.schema, t.spillEnv())
 			}
 		}
 		n.routedThr = chosen.Threshold

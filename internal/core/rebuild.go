@@ -37,7 +37,7 @@ func (t *Tree) rebuildAfterSpillFault(n *bnode, dups []data.Tuple, rdepth int, s
 func (t *Tree) rebuildWithDups(n *bnode, dups []data.Tuple, rdepth int, sp *obs.Span) error {
 	rbSpan := sp.Start("rebuild")
 	defer rbSpan.End()
-	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
+	fam := data.NewTupleBagEnv(t.schema, t.spillEnv())
 	if err := gatherFamily(n, fam); err != nil {
 		fam.Close()
 		return fmt.Errorf("core: gathering family for rebuild: %w", err)
@@ -64,7 +64,7 @@ func (t *Tree) rebuildWithDups(n *bnode, dups []data.Tuple, rdepth int, sp *obs.
 // after deletions). The caller (processInternal) queues the demoted leaf
 // for completion alongside the other leaves of the pass.
 func (t *Tree) demoteToLeaf(n *bnode) error {
-	fam := data.NewTupleBagEnv(t.schema, t.spillEnv(t.budget))
+	fam := data.NewTupleBagEnv(t.schema, t.spillEnv())
 	if err := gatherFamily(n, fam); err != nil {
 		fam.Close()
 		return fmt.Errorf("core: gathering family for demotion: %w", err)

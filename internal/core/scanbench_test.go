@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/boatml/boat/internal/bootstrap"
@@ -67,23 +66,11 @@ func (b *scanBench) Reset() error { return resetScanState(b.root) }
 // Close releases the skeleton's buffers (spill files, arenas).
 func (b *scanBench) Close() { closeSubtree(b.root) }
 
-// runOnce performs one cleanup scan over a skeleton that must be freshly
-// built or Reset, returning the tuples seen: the sequential path when
-// sharded is false, otherwise the chunk-sharded path with at least two
-// workers. Both include the post-scan count derivation, exactly as a
-// Build-driven scan does.
-func (b *scanBench) runOnce(sharded bool) (int64, error) {
-	var seen int64
-	var err error
-	if sharded {
-		seen, err = b.tree.shardedScan(b.src, b.root, max(b.tree.cfg.workers(), 2), nil)
-	} else {
-		seen, err = b.tree.sequentialScan(b.src, b.root, nil)
-	}
-	if err == nil {
-		deriveRoutingCounts(b.root)
-	}
-	return seen, err
+// runOnce performs one cleanup-scan pass over a skeleton that must be
+// freshly built or Reset, returning the tuples seen: the chunk router
+// pass a Build-driven scan runs, without the storage-fault retry.
+func (b *scanBench) runOnce() (int64, error) {
+	return b.tree.scanPass(b.src, b.root, nil)
 }
 
 // rowScan is the row-at-a-time cleanup scan (one root-to-stick descent
@@ -100,11 +87,12 @@ func (t *Tree) rowScan(src data.Source, root *bnode) (int64, error) {
 }
 
 // BenchmarkCleanupScan times one cleanup-scan pass over the Fig-4/F1
-// workload for the sequential and the sharded columnar scan. The
-// generator output is materialized up front so the benchmark measures the
-// scan, not synthetic data generation. The skeleton is built once per
-// mode; passes are separated by an exact statistic reset that runs
-// outside the timer.
+// workload. The generator output is materialized up front so the
+// benchmark measures the scan, not synthetic data generation. The
+// skeleton is built once; passes are separated by an exact statistic
+// reset that runs outside the timer. Parallelism follows GOMAXPROCS, so
+// `-cpu 1` times the in-line router and larger -cpu values its forked
+// descents.
 func BenchmarkCleanupScan(b *testing.B) {
 	const n = 200000
 	gsrc := gen.MustSource(gen.Config{Function: 1, Noise: 0.05}, n, 42)
@@ -113,33 +101,29 @@ func BenchmarkCleanupScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := data.NewMemSource(gsrc.Schema(), tuples)
-	for _, sharded := range []bool{false, true} {
-		b.Run(fmt.Sprintf("sharded=%v", sharded), func(b *testing.B) {
-			bench, err := newScanBench(src, Config{
-				Method: split.NewGini(), MaxDepth: 6, MinSplit: 50,
-				SampleSize: 2000, Seed: 7, TempDir: b.TempDir(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bench.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := bench.Reset(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				seen, err := bench.runOnce(sharded)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if seen != n {
-					b.Fatalf("saw %d tuples, want %d", seen, n)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-		})
+	bench, err := newScanBench(src, Config{
+		Method: split.NewGini(), MaxDepth: 6, MinSplit: 50,
+		SampleSize: 2000, Seed: 7, TempDir: b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer bench.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := bench.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		seen, err := bench.runOnce()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if seen != n {
+			b.Fatalf("saw %d tuples, want %d", seen, n)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
 }

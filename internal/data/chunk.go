@@ -360,8 +360,8 @@ func (c *Chunk) AbsorbZonesFrom(src *Chunk, prevLen int) {
 }
 
 // ChunkPool recycles chunks of one fixed geometry. It is safe for
-// concurrent use; the sharded cleanup scan's dealer gets chunks from the
-// pool and the routing workers put them back once merged.
+// concurrent use: the block pipeline and the batch predictor's dealer get
+// chunks from it, and their consumers put them back once done.
 type ChunkPool struct {
 	width, rows int
 	pool        sync.Pool

@@ -20,9 +20,9 @@ import (
 // integers for the integer-valued synthetic workloads, raw float64
 // otherwise). Every block carries a CRC32-C checksum and a per-column
 // ColZone (min/max, NaN presence, categorical code bitmap), so readers
-// detect corruption block-precisely and the routing scans can skip the
-// per-row partition kernel when a zone decides a whole block (scan.go,
-// update.go). A fixed-size footer records the row and block counts; a
+// detect corruption block-precisely and the chunk router can skip the
+// per-row partition kernel when a zone decides a whole block
+// (core/router.go). A fixed-size footer records the row and block counts; a
 // missing or mangled footer is how a torn (partially written) file is
 // detected at open.
 //

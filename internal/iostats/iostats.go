@@ -27,10 +27,9 @@ type Stats struct {
 	spillBytes  atomic.Int64
 
 	// Failure/retry accounting for the hardened spill path.
-	spillRetries  atomic.Int64
-	spillErrors   atomic.Int64
-	scanFallbacks atomic.Int64
-	scanRetries   atomic.Int64
+	spillRetries atomic.Int64
+	spillErrors  atomic.Int64
+	scanRetries  atomic.Int64
 }
 
 // RecordScan notes the start of one sequential scan over a tracked source.
@@ -82,14 +81,6 @@ func (s *Stats) RecordSpillError() {
 	}
 }
 
-// RecordScanFallback notes a sharded cleanup scan that failed on a storage
-// fault and fell back to the sequential scan.
-func (s *Stats) RecordScanFallback() {
-	if s != nil {
-		s.scanFallbacks.Add(1)
-	}
-}
-
 // RecordScanRetry notes a cleanup scan restarted from scratch after a
 // storage fault.
 func (s *Stats) RecordScanRetry() {
@@ -124,9 +115,6 @@ func (s *Stats) SpillRetries() int64 { return s.spillRetries.Load() }
 // SpillErrors returns the spill-path operations that failed after retries.
 func (s *Stats) SpillErrors() int64 { return s.spillErrors.Load() }
 
-// ScanFallbacks returns the sharded scans that fell back to sequential.
-func (s *Stats) ScanFallbacks() int64 { return s.scanFallbacks.Load() }
-
 // ScanRetries returns the cleanup scans restarted after storage faults.
 func (s *Stats) ScanRetries() int64 { return s.scanRetries.Load() }
 
@@ -140,7 +128,6 @@ func (s *Stats) Reset() {
 	s.spillBytes.Store(0)
 	s.spillRetries.Store(0)
 	s.spillErrors.Store(0)
-	s.scanFallbacks.Store(0)
 	s.scanRetries.Store(0)
 }
 
@@ -159,10 +146,9 @@ type Snapshot struct {
 	SpillTuples   int64
 	SpillBytes    int64
 
-	SpillRetries  int64
-	SpillErrors   int64
-	ScanFallbacks int64
-	ScanRetries   int64
+	SpillRetries int64
+	SpillErrors  int64
+	ScanRetries  int64
 }
 
 // CompressionRatio returns BytesRead divided by PhysBytesRead (0 when no
@@ -188,7 +174,6 @@ func (s *Stats) Snapshot() Snapshot {
 		SpillBytes:    s.SpillBytes(),
 		SpillRetries:  s.SpillRetries(),
 		SpillErrors:   s.SpillErrors(),
-		ScanFallbacks: s.ScanFallbacks(),
 		ScanRetries:   s.ScanRetries(),
 	}
 }
@@ -205,7 +190,6 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		SpillBytes:    a.SpillBytes + b.SpillBytes,
 		SpillRetries:  a.SpillRetries + b.SpillRetries,
 		SpillErrors:   a.SpillErrors + b.SpillErrors,
-		ScanFallbacks: a.ScanFallbacks + b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries + b.ScanRetries,
 	}
 }
@@ -221,7 +205,6 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		SpillBytes:    a.SpillBytes - b.SpillBytes,
 		SpillRetries:  a.SpillRetries - b.SpillRetries,
 		SpillErrors:   a.SpillErrors - b.SpillErrors,
-		ScanFallbacks: a.ScanFallbacks - b.ScanFallbacks,
 		ScanRetries:   a.ScanRetries - b.ScanRetries,
 	}
 }
@@ -234,9 +217,9 @@ func (s Snapshot) String() string {
 	if s.PhysBytesRead != 0 && s.PhysBytesRead != s.BytesRead {
 		out += fmt.Sprintf(" physBytes=%d (%.2fx)", s.PhysBytesRead, s.CompressionRatio())
 	}
-	if s.SpillRetries != 0 || s.SpillErrors != 0 || s.ScanFallbacks != 0 || s.ScanRetries != 0 {
-		out += fmt.Sprintf(" spillRetries=%d spillErrors=%d scanFallbacks=%d scanRetries=%d",
-			s.SpillRetries, s.SpillErrors, s.ScanFallbacks, s.ScanRetries)
+	if s.SpillRetries != 0 || s.SpillErrors != 0 || s.ScanRetries != 0 {
+		out += fmt.Sprintf(" spillRetries=%d spillErrors=%d scanRetries=%d",
+			s.SpillRetries, s.SpillErrors, s.ScanRetries)
 	}
 	return out
 }

@@ -114,7 +114,6 @@ func TestNilStatsMethodsSafe(t *testing.T) {
 	s.RecordPhysRead(1)
 	s.RecordSpillRetry()
 	s.RecordSpillError()
-	s.RecordScanFallback()
 	s.RecordScanRetry()
 	if s.Snapshot() != (Snapshot{}) {
 		t.Error("nil stats snapshot should be zero")
@@ -139,7 +138,7 @@ func TestConcurrentRecording(t *testing.T) {
 				st.RecordRead(2, 80)
 				st.RecordSpill(1, 40)
 				st.RecordSpillRetry()
-				st.RecordScanFallback()
+				st.RecordScanRetry()
 				_ = st.Snapshot()
 			}
 		}()
@@ -152,8 +151,8 @@ func TestConcurrentRecording(t *testing.T) {
 		SpillTuples: workers * perWorker,
 		SpillBytes:  40 * workers * perWorker,
 
-		SpillRetries:  workers * perWorker,
-		ScanFallbacks: workers * perWorker,
+		SpillRetries: workers * perWorker,
+		ScanRetries:  workers * perWorker,
 	}
 	if got := st.Snapshot(); got != want {
 		t.Fatalf("lost updates: got %v, want %v", got, want)
@@ -339,15 +338,15 @@ func TestTrackedCountsRowsDeliveredWithError(t *testing.T) {
 func TestSnapshotAdd(t *testing.T) {
 	a := Snapshot{
 		Scans: 1, TuplesRead: 2, BytesRead: 3, SpillTuples: 4, SpillBytes: 5,
-		SpillRetries: 6, SpillErrors: 7, ScanFallbacks: 8, ScanRetries: 9,
+		SpillRetries: 6, SpillErrors: 7, ScanRetries: 9,
 	}
 	b := Snapshot{
 		Scans: 100, TuplesRead: 200, BytesRead: 300, SpillTuples: 400, SpillBytes: 500,
-		SpillRetries: 600, SpillErrors: 700, ScanFallbacks: 800, ScanRetries: 900,
+		SpillRetries: 600, SpillErrors: 700, ScanRetries: 900,
 	}
 	want := Snapshot{
 		Scans: 101, TuplesRead: 202, BytesRead: 303, SpillTuples: 404, SpillBytes: 505,
-		SpillRetries: 606, SpillErrors: 707, ScanFallbacks: 808, ScanRetries: 909,
+		SpillRetries: 606, SpillErrors: 707, ScanRetries: 909,
 	}
 	if got := a.Add(b); got != want {
 		t.Errorf("Add = %+v, want %+v", got, want)
@@ -366,8 +365,8 @@ func TestSnapshotString(t *testing.T) {
 	if strings.Contains(clean, "spillRetries") {
 		t.Errorf("clean snapshot shows failure counters: %q", clean)
 	}
-	faulty := Snapshot{Scans: 1, SpillRetries: 3, ScanFallbacks: 1}.String()
-	if !strings.Contains(faulty, "spillRetries=3") || !strings.Contains(faulty, "scanFallbacks=1") {
+	faulty := Snapshot{Scans: 1, SpillRetries: 3, ScanRetries: 1}.String()
+	if !strings.Contains(faulty, "spillRetries=3") || !strings.Contains(faulty, "scanRetries=1") {
 		t.Errorf("faulty snapshot hides failure counters: %q", faulty)
 	}
 }
